@@ -9,6 +9,7 @@ with pole 0.8, 40 dB SNR, 0 dB SIR impulses with probability 0.1, step size
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -76,6 +77,13 @@ def _parse_algorithms(text: str) -> tuple[str, ...]:
     )
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got '{text}'")
+    return value
+
+
 def _optional(parser):
     def parse(text: str):
         return None if text.lower() == "none" else parser(text)
@@ -88,18 +96,18 @@ _SCHEMA: dict[str, tuple] = {
     "filter_length": (int, "512"),
     "projection_order": (int, "2"),
     "block_length": (int, "4"),
-    "mu": (float, "0.001"),
-    "alpha": (float, "0"),
-    "epsilon": (float, "0.01"),
-    "delta": (float, "0.01"),
+    "mu": (_finite_float, "0.001"),
+    "alpha": (_finite_float, "0"),
+    "epsilon": (_finite_float, "0.01"),
+    "delta": (_finite_float, "0.01"),
     "gain_variant": (GainVariant, "mip_consistent"),
     "algorithms": (_parse_algorithms, "apsa,mip-apsa,bs-mip-apsa"),
     "input": (str.lower, "ar1"),
-    "pole": (float, "0.8"),
+    "pole": (_finite_float, "0.8"),
     "wav_path": (_optional(str), "none"),
-    "snr_db": (_optional(float), "40"),
-    "sir_db": (_optional(float), "0"),
-    "impulse_probability": (float, "0.1"),
+    "snr_db": (_optional(_finite_float), "40"),
+    "sir_db": (_optional(_finite_float), "0"),
+    "impulse_probability": (_finite_float, "0.1"),
     "iterations": (int, "100000"),
     "switch_iteration": (_optional(int), "50000"),
     "clusters": (_parse_clusters, "100:64"),
@@ -112,6 +120,7 @@ _SCHEMA: dict[str, tuple] = {
 
 def _read_pairs(path) -> dict[str, str]:
     pairs: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -120,7 +129,13 @@ def _read_pairs(path) -> dict[str, str]:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{raw.strip()}'")
-            pairs[key.strip().lower()] = value.strip()
+            key = key.strip().lower()
+            if key in first_line:
+                raise ConfigError(
+                    f"{path}:{lineno}: key '{key}' repeats line {first_line[key]}"
+                )
+            first_line[key] = lineno
+            pairs[key] = value.strip()
     return pairs
 
 

@@ -44,6 +44,8 @@ class FilterParams:
     must be divisible by it.  gain_regularizer and update_regularizer are
     normally small positive constants; zero is accepted to support exact
     degenerate-case checks (the steppers guard the resulting divisions).
+    Non-finite step sizes and regularizers are rejected, since they would
+    turn every weight into NaN.
     """
 
     filter_length: int
@@ -67,6 +69,9 @@ class FilterParams:
                 f"filter_length ({self.filter_length}) must be divisible by "
                 f"block_length ({self.block_length})"
             )
+        for name in ("step_size", "gain_regularizer", "update_regularizer"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.step_size < 0:
             raise ValueError(f"step_size must be >= 0, got {self.step_size}")
         if not -1.0 <= self.proportionate_mix < 1.0:
@@ -116,32 +121,35 @@ def _block_gains(
     gain_regularizer: float,
     variant: GainVariant,
 ) -> np.ndarray:
-    L = weights.shape[0]
+    L = weights.shape[-1]
     n_blocks = L // block_length
     if block_length == 1:
         # A length-1 block norm is |h| exactly; sqrt(h*h) would be a detour.
         norms = np.abs(weights)
     else:
-        blocks = weights.reshape(n_blocks, block_length)
-        norms = np.sqrt(np.einsum("ij,ij->i", blocks, blocks))
-    total = norms.sum()
+        blocks = weights.reshape(*weights.shape[:-1], n_blocks, block_length)
+        norms = np.sqrt(np.einsum("...ij,...ij->...i", blocks, blocks))
+    total = norms.sum(axis=-1, keepdims=True)
     if variant is GainVariant.BLOCK_BALANCED:
         floor = (1.0 - proportionate_mix) / (2.0 * n_blocks)
     else:
         floor = (1.0 - proportionate_mix) / (2.0 * L)
     scale = 2.0 * n_blocks if variant is GainVariant.AS_PRINTED else 2.0
     denom = scale * total + gain_regularizer
-    if denom == 0.0:
+    if gain_regularizer == 0.0 and not denom.all():
         # All-zero weights with a zero regularizer: the proportionate share is
         # 0/0.  Use the uniform share (every block norm equal), which keeps
         # the gain-sum identities and the degenerate-case reductions exact.
-        shares = np.full(n_blocks, (1.0 + proportionate_mix) / (scale * n_blocks))
+        zero = denom[..., 0] == 0.0
+        denom[zero] = 1.0
+        shares = (1.0 + proportionate_mix) * norms / denom
+        shares[zero] = (1.0 + proportionate_mix) / (scale * n_blocks)
     else:
         shares = (1.0 + proportionate_mix) * norms / denom
     per_block = floor + shares
     if block_length == 1:
         return per_block
-    return np.repeat(per_block, block_length)
+    return np.repeat(per_block, block_length, axis=-1)
 
 
 def ip_gains(
@@ -152,7 +160,8 @@ def ip_gains(
     Each tap gets a uniform floor ``(1 - mix) / (2L)`` plus a share of
     ``(1 + mix) / 2`` proportional to ``|h_l| / sum|h_i|`` (regularized).
     With a positive regularizer every gain is strictly positive, and with a
-    zero regularizer the gains sum to exactly 1.
+    zero regularizer the gains sum to exactly 1.  ``weights`` may carry
+    leading batch axes, shape ``(..., L)``; each row gets its own gains.
     """
     return _block_gains(
         weights, 1, proportionate_mix, gain_regularizer, GainVariant.MIP_CONSISTENT
@@ -170,9 +179,9 @@ def bs_gains(
 
     The share of block k is proportional to its Euclidean norm.  With
     ``block_length == 1`` and the MIP_CONSISTENT variant this is exactly
-    :func:`ip_gains`.
+    :func:`ip_gains`.  Like :func:`ip_gains`, it takes ``(..., L)`` weights.
     """
-    L = weights.shape[0]
+    L = weights.shape[-1]
     if block_length < 1 or L % block_length != 0:
         raise ValueError(
             f"weight length ({L}) must be divisible by block_length ({block_length})"
@@ -286,6 +295,28 @@ def bs_mip_apsa_step(
         params.gain_variant,
     )
     return _memory_sign_step(state, params, gains)
+
+
+def gain_rule(algorithm: str, params: FilterParams):
+    """The gain rule of ``algorithm`` as a function of ``(..., L)`` weights.
+
+    None stands for APSA's unit gains.  These are the rules the steppers
+    apply one filter at a time; the batched engine applies them to a slab
+    of filters at once.
+    """
+    if algorithm == "apsa":
+        return None
+    if algorithm == "mip-apsa":
+        return lambda w: ip_gains(w, params.proportionate_mix, params.gain_regularizer)
+    if algorithm == "bs-mip-apsa":
+        return lambda w: bs_gains(
+            w,
+            params.block_length,
+            params.proportionate_mix,
+            params.gain_regularizer,
+            params.gain_variant,
+        )
+    raise ValueError(f"unknown algorithm '{algorithm}'; choose from {sorted(STEPPERS)}")
 
 
 STEPPERS = {

@@ -4,6 +4,8 @@ A trial generates one input/noise realization, synthesizes the desired signal
 through the (possibly switching) true path, and advances every selected
 algorithm over the identical sample stream, recording normalized misalignment
 per iteration.  An ensemble averages the per-iteration dB traces over trials.
+Every trial and algorithm of a run advances in one batched engine, one Python
+iteration per sample; the per-sample steppers of ``filters`` are its reference.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
 from apsabench.audio import load_wav
-from apsabench.echo_path import PathSchedule, path_at
-from apsabench.filters import STEPPERS, FilterParams, FilterState
+from apsabench.echo_path import PathSchedule
+from apsabench.filters import STEPPERS, FilterParams, gain_rule
 from apsabench.signals import (
     NoiseModel,
     SeededStream,
@@ -36,6 +39,10 @@ _BACKGROUND_ROLE = 2
 _IMPULSE_ROLE = 3
 
 MISALIGNMENT_FLOOR_DB = -300.0
+
+# Iterations whose per-trial misalignment the engine holds before it turns
+# them into dB and adds them to the trial sums.
+_CHUNK = 1024
 
 INPUT_KINDS = ("white", "ar1", "wav")
 
@@ -171,34 +178,149 @@ def _noise_record(
     return v
 
 
-def run_trial(config: ExperimentConfig, trial_index: int) -> MisalignmentTrace:
-    """One realization: every selected algorithm sees the same x and y."""
+def _realization(config: ExperimentConfig, trial_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Input x and desired signal y of one trial; every algorithm sees both."""
     x = _input_signal(config, trial_stream(config.base_seed, trial_index, _INPUT_ROLE))
     clean = _clean_echo(x, config.schedule)
     y = clean + _noise_record(clean, config.noise, config.base_seed, trial_index)
+    return x, y
 
-    schedule = config.schedule
+
+def _phases(config: ExperimentConfig) -> list[tuple[np.ndarray, int, int]]:
+    """(active taps, first iteration, end) for each nonempty stretch of the run."""
+    schedule, n = config.schedule, config.iterations
+    k = schedule.switch_iteration
+    if k is None:
+        return [(schedule.initial.taps, 0, n)]
+    k = min(max(k, 0), n)
+    phases = [(schedule.initial.taps, 0, k), (schedule.switched.taps, k, n)]
+    return [phase for phase in phases if phase[1] < phase[2]]
+
+
+def _batch_matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    # (M, T, L) matrices times (A, T, L) vectors -> (M, A, T)
+    return np.einsum("mtl,atl->mat", mat, vec)
+
+
+def _batch_vecmat(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    # (M, A, T) coefficients over (M, A, T, L) rows -> (A, T, L)
+    return np.einsum("mat,matl->atl", vec, mat)
+
+
+def _batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Row-wise dot products over the last axis, kept as a length-1 axis.
+    return (a[..., None, :] @ b[..., :, None])[..., 0]
+
+
+def _add_db(squared_errors: np.ndarray, den, total: np.ndarray) -> None:
+    """Turn rows of |h - w|^2, shape (K, A, T), into dB in place and add
+    them to ``total`` (K, A) one trial after another."""
+    squared_errors /= den
+    with np.errstate(divide="ignore"):
+        np.log10(squared_errors, out=squared_errors)
+    squared_errors *= 10.0
+    np.maximum(squared_errors, MISALIGNMENT_FLOOR_DB, out=squared_errors)
+    for t in range(squared_errors.shape[-1]):
+        total += squared_errors[..., t]
+
+
+def _run_batch(
+    config: ExperimentConfig, trial_indices: range
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum over the trials of the dB misalignment traces, shape (N, A), and
+    the final weights, shape (A, T, L).
+
+    All A x T filters advance together, one Python iteration per sample.
+    Each filter follows its per-sample stepper in ``filters.STEPPERS``; only
+    the summation order of the dot products may differ.  APSA runs the
+    memory pipeline with unit gains, so its memory holds the regressors
+    themselves.  With a single filter the batch axes are dropped, and the
+    loop runs on 1-D and 2-D arrays with plain matrix products.
+    """
     params = config.params
-    traces: dict[str, np.ndarray] = {}
-    for name in config.algorithms:
-        stepper = STEPPERS[name]
-        state = FilterState.zeros(params)
-        trace = np.empty(config.iterations)
-        for i in range(config.iterations):
-            trace[i] = misalignment_db(path_at(schedule, i).taps, state.weights)
-            stepper(state, params, x[i], y[i])
-        traces[name] = trace
+    L, M, N = params.filter_length, params.projection_order, config.iterations
+    A, T = len(config.algorithms), len(trial_indices)
+    # Row t of xs is trial t's input reversed in time, followed by the
+    # L + M - 2 zeros that stand for the samples before time 0; likewise ys
+    # with M - 1 zeros.
+    xs = np.zeros((T, N + L + M - 2))
+    ys = np.zeros((T, N + M - 1))
+    for row, t in enumerate(trial_indices):
+        x, y = _realization(config, t)
+        xs[row, N - 1 :: -1] = x
+        ys[row, N - 1 :: -1] = y
+    # At iteration n, with i = N - 1 - n, windows[i + j] is the regressor of
+    # j samples ago (newest tap first) and ys[i + j] its desired sample.
+    # Time runs along the first axis, so one plain slice serves every trial.
+    windows = sliding_window_view(xs, L, axis=1).transpose(1, 0, 2)
+    batch = (A, T) if A * T > 1 else ()
+    weights = np.zeros(batch + (L,))
+    # Ring buffer of gain-weighted regressors: slot n % M holds the newest.
+    memory = np.zeros((M,) + batch + (L,))
+    if batch:
+        ys = ys.T[:, None, :]
+        matvec, vecmat, dot = _batch_matvec, _batch_vecmat, _batch_dot
+        slabs = [(weights[a], memory[:, a]) for a in range(A)]
+    else:
+        windows, ys = windows[:, 0], ys[0]
+        matvec = vecmat = np.matmul
+        dot = np.dot
+        slabs = [(weights, memory)]
+    rules = [(gain_rule(name, params), *slab) for name, slab in zip(config.algorithms, slabs)]
+    # Memory column j (j samples ago) sits in slot (n - j) % M, so the signs
+    # are permuted into slot order instead of moving the memory.
+    slot_order = [np.array([(slot - j) % M for j in range(M)]) for slot in range(M)]
+    mu, delta = params.step_size, params.update_regularizer
+
+    # |h - w|^2 is recorded per sample and turned into dB a chunk at a time,
+    # so only a chunk of per-trial rows is held, never all N of them.
+    total = np.zeros((N, A))
+    chunk = np.empty((min(N, _CHUNK), A, T))
+    # Indexed by iteration, each row shaped like what dot() returns.
+    record = chunk.reshape(chunk.shape[:1] + (batch + (1,) if batch else ()))
+    for taps, first, end in _phases(config):
+        # The kernel of the numerator, so that a zero estimate reads exactly
+        # |h|^2 / |h|^2 = 1, i.e. 0 dB and not -0 dB.
+        den = dot(taps, taps)
+        if not np.all(den):
+            raise ValueError("true path has zero norm; misalignment is undefined")
+        for start in range(first, end, _CHUNK):
+            stop = min(start + _CHUNK, end)
+            for n in range(start, stop):
+                diff = taps - weights
+                record[n - start] = dot(diff, diff)
+                i = N - 1 - n
+                regressors = windows[i : i + M]
+                signs = np.sign(ys[i : i + M] - matvec(regressors, weights))
+                slot = n % M
+                for rule, w, m in rules:
+                    if rule is None:
+                        m[slot] = regressors[0]
+                    else:
+                        np.multiply(rule(w), regressors[0], out=m[slot])
+                direction = vecmat(signs[slot_order[slot]], memory)
+                energy = dot(direction, direction)
+                # sign(energy) is 1, or 0 for a zero direction, which leaves
+                # the weights alone as in the stepper; the divisor stays
+                # positive when delta is 0 too, so no inf * 0 arises.  A NaN
+                # stays NaN.
+                scale = mu * np.sign(energy) / np.sqrt(delta + energy + (energy == 0.0))
+                weights += scale * direction
+            _add_db(chunk[: stop - start], den, total[start:stop])
+    return total, weights.reshape(A, T, L)
+
+
+def run_trial(config: ExperimentConfig, trial_index: int) -> MisalignmentTrace:
+    """One realization: every selected algorithm sees the same x and y."""
+    total, _ = _run_batch(config, range(trial_index, trial_index + 1))
+    traces = {name: total[:, a] for a, name in enumerate(config.algorithms)}
     return MisalignmentTrace(traces=traces, iterations=config.iterations, trials=1)
 
 
 def run_ensemble(config: ExperimentConfig) -> MisalignmentTrace:
     """Mean over trials of the per-iteration dB traces, in trial order."""
-    totals = {name: np.zeros(config.iterations) for name in config.algorithms}
-    for t in range(config.trials):
-        trial = run_trial(config, t)
-        for name in config.algorithms:
-            totals[name] += trial.traces[name]
-    traces = {name: totals[name] / config.trials for name in config.algorithms}
+    total, _ = _run_batch(config, range(config.trials))
+    traces = {name: total[:, a] / config.trials for a, name in enumerate(config.algorithms)}
     return MisalignmentTrace(
         traces=traces, iterations=config.iterations, trials=config.trials
     )

@@ -36,7 +36,7 @@ class NoiseModel:
     The sigmas are raw generator scales; when an SNR/SIR target (dB) is set
     the harness rescales each component against the clean echo signal with
     :func:`scale_to_ratio`, making the realized ratio exact per run.  A target
-    of None keeps the raw scale.
+    of None keeps the raw scale.  Targets and sigmas must be finite.
     """
 
     snr_db: float | None = 40.0
@@ -50,6 +50,10 @@ class NoiseModel:
             raise ValueError(
                 f"impulse_probability must lie in [0, 1], got {self.impulse_probability}"
             )
+        for name in ("snr_db", "sir_db", "background_sigma", "impulse_sigma"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.background_sigma < 0 or self.impulse_sigma < 0:
             raise ValueError("noise sigmas must be >= 0")
 

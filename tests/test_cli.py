@@ -68,6 +68,12 @@ def test_unknown_key_is_named(tmp_path):
         parse_config(path)
 
 
+def test_repeated_key_names_both_lines(tmp_path):
+    path = write_config(tmp_path, "filter_length = 64\n# comment\nFilter_Length = 128\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg:3: key 'filter_length' repeats line 1"):
+        parse_config(path)
+
+
 def test_bad_value_names_key(tmp_path):
     path = write_config(tmp_path, "iterations = soon\n")
     with pytest.raises(ConfigError, match="iterations"):
@@ -270,6 +276,17 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     config = write_config(tmp_path, "filter_length = 100\nblock_length = 7\n")
     assert main(["--config", str(config), "--out", str(tmp_path / "o")]) == 3
     assert "divisible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["mu", "alpha", "epsilon", "delta", "pole", "snr_db", "sir_db"])
+def test_main_non_finite_value_exit_code(tmp_path, capsys, key, value):
+    config = write_config(tmp_path, QUICK + f"{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and "finite" in err
+    assert not (out / "trace.csv").exists()
 
 
 def test_main_wav_error_exit_code(tmp_path, capsys):

@@ -1,0 +1,196 @@
+"""The batched ensemble engine against the per-sample steppers.
+
+The reference below is the per-sample loop the harness ran before the
+engine existed: every algorithm's stepper from ``STEPPERS`` advanced one
+sample at a time, with ``misalignment_db`` taken against the active path
+before each step.  The engine may sum its dot products in another order,
+so weights must agree within 1e-12 relative and traces within 1e-9 dB;
+row 0 is a cold start and must read exactly 0.0 dB.  The engine returns
+trial sums, so per-trial traces are checked through ``run_trial`` and the
+batch over trials through the ensemble mean.
+"""
+
+import numpy as np
+import pytest
+
+from apsabench import harness
+from apsabench.audio import save_wav
+from apsabench.echo_path import PathSchedule, make_block_sparse, path_at
+from apsabench.filters import STEPPERS, FilterParams, FilterState, GainVariant
+from apsabench.harness import (
+    PATH_STREAM,
+    ExperimentConfig,
+    _run_batch,
+    misalignment_db,
+    run_ensemble,
+    run_trial,
+)
+from apsabench.signals import NoiseModel, SeededStream, speech_like
+
+L = 16
+ALL = ("apsa", "mip-apsa", "bs-mip-apsa")
+
+
+def reference_trial(config, trial_index):
+    """Per-algorithm (dB trace, final weights) from the per-sample steppers."""
+    x, y = harness._realization(config, trial_index)
+    out = {}
+    for name in config.algorithms:
+        stepper = STEPPERS[name]
+        state = FilterState.zeros(config.params)
+        trace = np.empty(config.iterations)
+        for i in range(config.iterations):
+            trace[i] = misalignment_db(path_at(config.schedule, i).taps, state.weights)
+            stepper(state, config.params, x[i], y[i])
+        out[name] = (trace, state.weights)
+    return out
+
+
+def make_config(
+    algorithms=ALL,
+    trials=3,
+    iterations=240,
+    switch=120,
+    projection_order=2,
+    block_length=4,
+    variant=GainVariant.MIP_CONSISTENT,
+    regularizer=0.01,
+    input_kind="ar1",
+    wav_path=None,
+):
+    params = FilterParams(
+        filter_length=L,
+        projection_order=projection_order,
+        block_length=block_length,
+        step_size=0.02,
+        gain_regularizer=regularizer,
+        update_regularizer=regularizer,
+        gain_variant=variant,
+    )
+    initial = make_block_sparse(L, [(2, 6)], SeededStream(5, PATH_STREAM))
+    switched = None
+    if switch is not None:
+        switched = make_block_sparse(L, [(9, 6)], SeededStream(5, PATH_STREAM + 4))
+    return ExperimentConfig(
+        params=params,
+        schedule=PathSchedule(initial=initial, switched=switched, switch_iteration=switch),
+        algorithms=algorithms,
+        input_kind=input_kind,
+        wav_path=wav_path,
+        noise=NoiseModel(snr_db=30.0, sir_db=0.0, impulse_probability=0.1),
+        iterations=iterations,
+        trials=trials,
+        base_seed=5,
+    )
+
+
+def relative_gap(a, b):
+    denom = max(np.linalg.norm(a), np.linalg.norm(b))
+    return 0.0 if denom == 0.0 else np.linalg.norm(a - b) / denom
+
+
+def assert_matches_reference(config):
+    A, T = len(config.algorithms), config.trials
+    total, weights = _run_batch(config, range(T))
+    assert total.shape == (config.iterations, A)
+    assert weights.shape == (A, T, L)
+    reference = [reference_trial(config, t) for t in range(T)]
+    for a, name in enumerate(config.algorithms):
+        assert total[0, a] == 0.0 and not np.signbit(total[0, a])
+        ref_mean = np.mean([reference[t][name][0] for t in range(T)], axis=0)
+        np.testing.assert_allclose(total[:, a] / T, ref_mean, rtol=0.0, atol=1e-9)
+        for t in range(T):
+            ref_trace, ref_weights = reference[t][name]
+            assert relative_gap(weights[a, t], ref_weights) <= 1e-12, (name, t)
+            trace = run_trial(config, t).traces[name]
+            assert trace[0] == 0.0 and not np.signbit(trace[0])
+            np.testing.assert_allclose(trace, ref_trace, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("variant", list(GainVariant))
+def test_engine_matches_steppers_for_every_gain_variant(variant):
+    assert_matches_reference(make_config(variant=variant))
+
+
+@pytest.mark.parametrize("projection_order", [1, 2, 3])
+def test_engine_matches_steppers_for_projection_order(projection_order):
+    assert_matches_reference(make_config(projection_order=projection_order))
+
+
+@pytest.mark.parametrize("block_length", [1, 4, L])
+def test_engine_matches_steppers_for_block_length(block_length):
+    assert_matches_reference(make_config(block_length=block_length))
+
+
+@pytest.mark.parametrize("switch", [0, 120, None])
+def test_engine_matches_steppers_across_switches(switch):
+    assert_matches_reference(make_config(switch=switch))
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("algorithm", ALL)
+def test_engine_matches_steppers_for_one_algorithm(algorithm, trials):
+    # trials=1 is a batch of one: the loop runs without batch axes.
+    assert_matches_reference(make_config(algorithms=(algorithm,), trials=trials))
+
+
+@pytest.mark.parametrize("projection_order", [1, 3])
+def test_engine_batch_of_one_matches_for_projection_order(projection_order):
+    config = make_config(algorithms=("mip-apsa",), trials=1, projection_order=projection_order)
+    assert_matches_reference(config)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_engine_matches_steppers_on_wav_input(tmp_path, trials):
+    # Leading silence gives zero regressors, zero directions and, with both
+    # regularizers at 0, the zero-denominator gain branch.
+    samples = np.concatenate([np.zeros(40), speech_like(400, SeededStream(9))])
+    wav = tmp_path / "input.wav"
+    save_wav(samples, wav)
+    for algorithms in (ALL, ("apsa",)):
+        config = make_config(
+            algorithms=algorithms, trials=trials, input_kind="wav",
+            wav_path=str(wav), regularizer=0.0,
+        )
+        assert_matches_reference(config)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_engine_matches_steppers_without_regularizers(trials):
+    assert_matches_reference(make_config(regularizer=0.0, trials=trials))
+    assert_matches_reference(make_config(algorithms=("bs-mip-apsa",), regularizer=0.0, trials=1))
+
+
+def test_ensemble_is_the_trial_order_mean_of_trials():
+    config = make_config()
+    ensemble = run_ensemble(config)
+    for name in config.algorithms:
+        expected = np.zeros(config.iterations)
+        for t in range(config.trials):
+            expected += run_trial(config, t).traces[name]
+        np.testing.assert_allclose(
+            ensemble.traces[name], expected / config.trials, rtol=0.0, atol=1e-12
+        )
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_nan_desired_sample_poisons_like_the_stepper(monkeypatch, trials):
+    # A NaN must stay NaN through the zero-energy shortcut, as in the stepper.
+    clean_realization = harness._realization
+
+    def poisoned(config, trial_index):
+        x, y = clean_realization(config, trial_index)
+        y = y.copy()
+        y[30] = np.nan
+        return x, y
+
+    monkeypatch.setattr(harness, "_realization", poisoned)
+    config = make_config(algorithms=("apsa",), trials=trials)
+    total, weights = _run_batch(config, range(trials))
+    reference = [reference_trial(config, t)["apsa"][0] for t in range(trials)]
+    assert np.all(np.isnan(reference[0][31:]))
+    assert np.all(np.isnan(total[31:]))
+    np.testing.assert_allclose(
+        total[:31, 0] / trials, np.mean(reference, axis=0)[:31], rtol=0.0, atol=1e-9
+    )
+    assert np.all(np.isnan(weights))

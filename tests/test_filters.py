@@ -54,6 +54,13 @@ def test_params_reject_out_of_range(kwargs):
         FilterParams(**kwargs)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["step_size", "gain_regularizer", "update_regularizer"])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        FilterParams(filter_length=8, **{field: value})
+
+
 def test_params_accept_zero_regularizers_and_zero_step():
     # Degenerate diagnostic modes used by the equivalence checks.
     p = FilterParams(filter_length=8, step_size=0.0, gain_regularizer=0.0, update_regularizer=0.0)
@@ -160,6 +167,24 @@ def test_bs_gains_sum_identities_without_regularizer(w, alpha):
     assert mc == pytest.approx((1 - alpha) / 2 + P * (1 + alpha) / 2, rel=1e-12)
     assert ap == pytest.approx((1 - alpha) / 2 + (P / N) * (1 + alpha) / 2, rel=1e-12)
     assert bb == pytest.approx(P, rel=1e-12)
+
+
+@pytest.mark.parametrize("variant", list(GainVariant))
+@pytest.mark.parametrize("block_length", [1, 4, 12])
+@given(w=weight_arrays((3, 12)), alpha=st.floats(-1.0, 0.999), eps=st.sampled_from([0.0, 0.01]))
+def test_gains_of_a_weight_slab_match_row_by_row(variant, block_length, w, alpha, eps):
+    # The batched engine takes gains of a whole (T, L) slab at once; a zero
+    # row with a zero regularizer takes the uniform share, as a 1-D call does.
+    w[1] = 0.0
+    slab = bs_gains(w, block_length, alpha, eps, variant)
+    for row in range(3):
+        assert np.array_equal(slab[row], bs_gains(w[row], block_length, alpha, eps, variant))
+    if eps == 0.0:
+        n_blocks = 12 // block_length
+        floor = (1 - alpha) / (2 * (n_blocks if variant is GainVariant.BLOCK_BALANCED else 12))
+        scale = 2 * n_blocks if variant is GainVariant.AS_PRINTED else 2
+        assert np.allclose(slab[1], floor + (1 + alpha) / (scale * n_blocks), rtol=1e-15)
+    assert np.array_equal(ip_gains(w, alpha, eps)[0], ip_gains(w[0], alpha, eps))
 
 
 # ------------------------------------------------- error, sign, memory, update

@@ -150,6 +150,13 @@ def test_noise_model_validation():
         NoiseModel(background_sigma=-1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["snr_db", "sir_db", "background_sigma", "impulse_sigma"])
+def test_noise_model_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        NoiseModel(**{field: value})
+
+
 def test_speech_like_deterministic_and_bounded():
     s = SeededStream(21)
     x = speech_like(5000, s)
