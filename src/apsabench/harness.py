@@ -40,9 +40,13 @@ _IMPULSE_ROLE = 3
 
 MISALIGNMENT_FLOOR_DB = -300.0
 
-# Iterations whose per-trial misalignment the engine holds before it turns
-# them into dB and adds them to the trial sums.
+# The engine copies the weights entering each iteration into a history of
+# at most _CHUNK rows and at most _HISTORY_BYTES, then turns the whole
+# history into |h - w|^2, dB and trial sums at once.  The byte budget is
+# about what 1024 iterations of per-trial misalignment took at 30 filters,
+# so that many filters do not raise the peak memory.
 _CHUNK = 1024
+_HISTORY_BYTES = 256 * 1024
 
 INPUT_KINDS = ("white", "ar1", "wav")
 
@@ -124,12 +128,9 @@ def misalignment_db(true_taps: np.ndarray, estimated: np.ndarray) -> float:
     return max(10.0 * math.log10(num / den), MISALIGNMENT_FLOOR_DB)
 
 
-def _input_signal(config: ExperimentConfig, stream: SeededStream) -> np.ndarray:
+def _wav_input(config: ExperimentConfig) -> np.ndarray:
+    """The first ``iterations`` samples of the run's WAV file."""
     n = config.iterations
-    if config.input_kind == "white":
-        return white_gaussian(n, 1.0, stream)
-    if config.input_kind == "ar1":
-        return ar1_colored(n, config.pole, stream)
     samples = load_wav(config.wav_path)
     if samples.shape[0] < n:
         raise ValueError(
@@ -137,6 +138,17 @@ def _input_signal(config: ExperimentConfig, stream: SeededStream) -> np.ndarray:
             f"{n}; shorten the run or supply a longer file"
         )
     return samples[:n]
+
+
+def _input_signal(
+    config: ExperimentConfig, stream: SeededStream, wav: np.ndarray | None
+) -> np.ndarray:
+    n = config.iterations
+    if config.input_kind == "white":
+        return white_gaussian(n, 1.0, stream)
+    if config.input_kind == "ar1":
+        return ar1_colored(n, config.pole, stream)
+    return _wav_input(config) if wav is None else wav
 
 
 def _clean_echo(x: np.ndarray, schedule: PathSchedule) -> np.ndarray:
@@ -178,11 +190,22 @@ def _noise_record(
     return v
 
 
-def _realization(config: ExperimentConfig, trial_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Input x and desired signal y of one trial; every algorithm sees both."""
-    x = _input_signal(config, trial_stream(config.base_seed, trial_index, _INPUT_ROLE))
+def _realization(
+    config: ExperimentConfig, trial_index: int, wav: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Input x and desired signal y of one trial; every algorithm sees both.
+
+    ``wav`` is the run's WAV input when the caller has already read it;
+    otherwise a WAV run reads the file here.  Non-finite samples raise
+    ValueError, since one NaN or inf would poison the weights for good.
+    """
+    stream = trial_stream(config.base_seed, trial_index, _INPUT_ROLE)
+    x = _input_signal(config, stream, wav)
     clean = _clean_echo(x, config.schedule)
     y = clean + _noise_record(clean, config.noise, config.base_seed, trial_index)
+    for name, signal in (("input", x), ("desired signal", y)):
+        if not np.all(np.isfinite(signal)):
+            raise ValueError(f"trial {trial_index}: the {name} has non-finite samples")
     return x, y
 
 
@@ -232,21 +255,26 @@ def _run_batch(
 
     All A x T filters advance together, one Python iteration per sample.
     Each filter follows its per-sample stepper in ``filters.STEPPERS``; only
-    the summation order of the dot products may differ.  APSA runs the
-    memory pipeline with unit gains, so its memory holds the regressors
-    themselves.  With a single filter the batch axes are dropped, and the
-    loop runs on 1-D and 2-D arrays with plain matrix products.
+    the summation order of the dot products may differ.  When an algorithm
+    with a gain rule is selected, APSA runs the memory pipeline with unit
+    gains, so its memory holds the regressors themselves; a run of APSA
+    alone takes its direction from the regressors and keeps no memory.
+    With a single filter the batch axes are dropped, and the loop runs on
+    1-D and 2-D arrays with plain matrix products and a step size in
+    Python floats.
     """
     params = config.params
     L, M, N = params.filter_length, params.projection_order, config.iterations
     A, T = len(config.algorithms), len(trial_indices)
     # Row t of xs is trial t's input reversed in time, followed by the
     # L + M - 2 zeros that stand for the samples before time 0; likewise ys
-    # with M - 1 zeros.
+    # with M - 1 zeros.  Every trial reads the same WAV samples, so the file
+    # is read once.
     xs = np.zeros((T, N + L + M - 2))
     ys = np.zeros((T, N + M - 1))
+    wav = (_wav_input(config),) if config.input_kind == "wav" else ()
     for row, t in enumerate(trial_indices):
-        x, y = _realization(config, t)
+        x, y = _realization(config, t, *wav)
         xs[row, N - 1 :: -1] = x
         ys[row, N - 1 :: -1] = y
     # At iteration n, with i = N - 1 - n, windows[i + j] is the regressor of
@@ -255,58 +283,69 @@ def _run_batch(
     windows = sliding_window_view(xs, L, axis=1).transpose(1, 0, 2)
     batch = (A, T) if A * T > 1 else ()
     weights = np.zeros(batch + (L,))
-    # Ring buffer of gain-weighted regressors: slot n % M holds the newest.
-    memory = np.zeros((M,) + batch + (L,))
+    gain_rules = [gain_rule(name, params) for name in config.algorithms]
     if batch:
         ys = ys.T[:, None, :]
-        matvec, vecmat, dot = _batch_matvec, _batch_vecmat, _batch_dot
-        slabs = [(weights[a], memory[:, a]) for a in range(A)]
+        matvec, vecmat = _batch_matvec, _batch_vecmat
+        # APSA alone has A = 1: its direction rows are the regressors with
+        # that axis added.
+        apsa_rows = windows[:, None]
     else:
         windows, ys = windows[:, 0], ys[0]
         matvec = vecmat = np.matmul
-        dot = np.dot
-        slabs = [(weights, memory)]
-    rules = [(gain_rule(name, params), *slab) for name, slab in zip(config.algorithms, slabs)]
-    # Memory column j (j samples ago) sits in slot (n - j) % M, so the signs
-    # are permuted into slot order instead of moving the memory.
-    slot_order = [np.array([(slot - j) % M for j in range(M)]) for slot in range(M)]
+        apsa_rows = windows
+    memory = None
+    if any(gain_rules):
+        # Ring buffer of gain-weighted regressors: slot n % M holds the newest.
+        memory = np.zeros((M,) + batch + (L,))
+        slabs = [(weights[a], memory[:, a]) for a in range(A)] if batch else [(weights, memory)]
+        rules = [(rule, w, m) for rule, (w, m) in zip(gain_rules, slabs)]
+        # Memory column j (j samples ago) sits in slot (n - j) % M, so the
+        # signs are permuted into slot order instead of moving the memory.
+        slot_order = [np.array([(slot - j) % M for j in range(M)]) for slot in range(M)]
     mu, delta = params.step_size, params.update_regularizer
 
-    # |h - w|^2 is recorded per sample and turned into dB a chunk at a time,
-    # so only a chunk of per-trial rows is held, never all N of them.
     total = np.zeros((N, A))
-    chunk = np.empty((min(N, _CHUNK), A, T))
-    # Indexed by iteration, each row shaped like what dot() returns.
-    record = chunk.reshape(chunk.shape[:1] + (batch + (1,) if batch else ()))
+    chunk = max(1, min(_CHUNK, _HISTORY_BYTES // weights.nbytes))
+    history = np.empty((min(N, chunk),) + weights.shape)
     for taps, first, end in _phases(config):
         # The kernel of the numerator, so that a zero estimate reads exactly
         # |h|^2 / |h|^2 = 1, i.e. 0 dB and not -0 dB.
-        den = dot(taps, taps)
+        den = _batch_dot(taps, taps)
         if not np.all(den):
             raise ValueError("true path has zero norm; misalignment is undefined")
-        for start in range(first, end, _CHUNK):
-            stop = min(start + _CHUNK, end)
+        for start in range(first, end, chunk):
+            stop = min(start + chunk, end)
             for n in range(start, stop):
-                diff = taps - weights
-                record[n - start] = dot(diff, diff)
+                history[n - start] = weights
                 i = N - 1 - n
                 regressors = windows[i : i + M]
                 signs = np.sign(ys[i : i + M] - matvec(regressors, weights))
-                slot = n % M
-                for rule, w, m in rules:
-                    if rule is None:
-                        m[slot] = regressors[0]
-                    else:
-                        np.multiply(rule(w), regressors[0], out=m[slot])
-                direction = vecmat(signs[slot_order[slot]], memory)
-                energy = dot(direction, direction)
-                # sign(energy) is 1, or 0 for a zero direction, which leaves
-                # the weights alone as in the stepper; the divisor stays
-                # positive when delta is 0 too, so no inf * 0 arises.  A NaN
-                # stays NaN.
-                scale = mu * np.sign(energy) / np.sqrt(delta + energy + (energy == 0.0))
+                if memory is None:
+                    direction = vecmat(signs, apsa_rows[i : i + M])
+                else:
+                    slot = n % M
+                    for rule, w, m in rules:
+                        if rule is None:
+                            m[slot] = regressors[0]
+                        else:
+                            np.multiply(rule(w), regressors[0], out=m[slot])
+                    direction = vecmat(signs[slot_order[slot]], memory)
+                if batch:
+                    energy = _batch_dot(direction, direction)
+                    # sign(energy) is 1, or 0 for a zero direction, which
+                    # leaves the weights alone as in the stepper; the divisor
+                    # stays positive when delta is 0 too, so no inf * 0
+                    # arises.  A NaN stays NaN.
+                    scale = mu * np.sign(energy) / np.sqrt(delta + energy + (energy == 0.0))
+                else:
+                    # The stepper's own arithmetic, in Python floats.
+                    energy = float(direction @ direction)
+                    scale = 0.0 if energy == 0.0 else mu / math.sqrt(delta + energy)
                 weights += scale * direction
-            _add_db(chunk[: stop - start], den, total[start:stop])
+            rows = history[: stop - start]
+            np.subtract(taps, rows, out=rows)
+            _add_db(_batch_dot(rows, rows).reshape(stop - start, A, T), den, total[start:stop])
     return total, weights.reshape(A, T, L)
 
 

@@ -111,7 +111,10 @@ def scale_to_ratio(
     """Rescale ``noise`` so the reference-to-noise power ratio hits target_db.
 
     Uses empirical power over the given finite vectors, so recomputing the
-    ratio on the result returns target_db exactly (up to rounding).
+    ratio on the result returns target_db exactly (up to rounding).  A
+    target too far out for double precision, where the power ratio or the
+    scale factor is not a finite positive float, raises ValueError naming
+    the target.
     """
     p_ref = signal_power(reference)
     p_noise = signal_power(noise)
@@ -119,7 +122,15 @@ def scale_to_ratio(
         raise ValueError("reference signal has zero power; ratio is undefined")
     if p_noise == 0.0:
         raise ValueError("noise signal has zero power; cannot scale to a target ratio")
-    factor = math.sqrt(p_ref / (p_noise * 10.0 ** (target_db / 10.0)))
+    try:
+        factor = math.sqrt(p_ref / (p_noise * 10.0 ** (target_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):  # 10**(dB/10) overflows or underflows
+        factor = math.inf
+    if not 0.0 < factor < math.inf:
+        raise ValueError(
+            f"a target ratio of {target_db} dB is out of range: the noise "
+            f"cannot be scaled to it in double precision"
+        )
     return noise * factor
 
 

@@ -243,6 +243,40 @@ def test_emit_plot_data_format(tmp_path):
     assert lines[1] == "0 0.000000 0.000000"
 
 
+def row_by_row(trace, sep, header_lead):
+    """The emitters' former per-row loop: the oracle for their bytes."""
+    columns = list(trace.traces.values())
+    names = sep.join(f"{name}_misalign_db" for name in trace.traces)
+    text = header_lead + "iteration" + sep + names + "\n"
+    for i in range(trace.iterations):
+        text += f"{i}{sep}" + sep.join(f"{col[i]:.6f}" for col in columns) + "\n"
+    return text.encode("ascii")
+
+
+EDGE_VALUES = [0.0, -0.0, -300.0, 1e6, -4e-7, -5e-7, -1e-300, 5e-7, np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        {"apsa": np.array([-0.0])},
+        {
+            name: np.random.default_rng(k).standard_normal(10_001) * 10.0 ** (3 - 3 * k)
+            for k, name in enumerate(("apsa", "mip-apsa", "bs-mip-apsa"))
+        },
+        {"apsa": np.array(EDGE_VALUES), "mip-apsa": -np.array(EDGE_VALUES)},
+    ],
+    ids=["one-row", "crosses-write-blocks", "edge-values"],
+)
+def test_emitters_match_the_row_by_row_oracle(tmp_path, columns):
+    iterations = len(next(iter(columns.values())))
+    trace = MisalignmentTrace(traces=columns, iterations=iterations, trials=1)
+    emit_csv(trace, tmp_path / "trace.csv")
+    emit_plot_data(trace, tmp_path / "trace.dat")
+    assert (tmp_path / "trace.csv").read_bytes() == row_by_row(trace, ",", "")
+    assert (tmp_path / "trace.dat").read_bytes() == row_by_row(trace, " ", "# ")
+
+
 # ----------------------------------------------------------------------- main
 
 
@@ -286,6 +320,16 @@ def test_main_non_finite_value_exit_code(tmp_path, capsys, key, value):
     assert main(["--config", str(config), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert f"'{key}'" in err and "finite" in err
+    assert not (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [("snr_db", 7000), ("snr_db", -7000), ("sir_db", -3200)])
+def test_main_out_of_range_ratio_exit_code(tmp_path, capsys, key, value):
+    # 10**(dB/10) overflows, or the noise scale factor is 0 or inf.
+    config = write_config(tmp_path, QUICK + f"{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(config), "--out", str(out)]) == 3
+    assert f"{float(value)} dB" in capsys.readouterr().err
     assert not (out / "trace.csv").exists()
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from apsabench import harness
-from apsabench.audio import save_wav
+from apsabench.audio import load_wav, save_wav
 from apsabench.echo_path import PathSchedule, make_block_sparse, path_at
 from apsabench.filters import STEPPERS, FilterParams, FilterState, GainVariant
 from apsabench.harness import (
@@ -194,3 +194,70 @@ def test_nan_desired_sample_poisons_like_the_stepper(monkeypatch, trials):
         total[:31, 0] / trials, np.mean(reference, axis=0)[:31], rtol=0.0, atol=1e-9
     )
     assert np.all(np.isnan(weights))
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_apsa_alone_matches_steppers_at_projection_order_3(trials):
+    # APSA alone takes its direction from the regressors and keeps no
+    # memory, so it sums the direction in another order than the ring
+    # buffer; trials=1 is the single filter.
+    assert_matches_reference(make_config(algorithms=("apsa",), trials=trials, projection_order=3))
+
+
+@pytest.mark.parametrize("algorithm", ["apsa", "mip-apsa"])
+def test_single_filter_zero_directions_without_regularizer(tmp_path, algorithm):
+    # With delta = 0 a zero direction must leave the weights alone instead
+    # of dividing by zero: leading silence gives zero directions.
+    samples = np.concatenate([np.zeros(40), speech_like(400, SeededStream(9))])
+    wav = tmp_path / "input.wav"
+    save_wav(samples, wav)
+    config = make_config(
+        algorithms=(algorithm,), trials=1, input_kind="wav", wav_path=str(wav), regularizer=0.0
+    )
+    assert_matches_reference(config)
+    trace = run_trial(config, 0).traces[algorithm]
+    assert np.all(trace[:41] == 0.0)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("algorithms, trials", [(ALL, 3), (("apsa",), 1)])
+def test_engine_with_a_small_weight_history(monkeypatch, rows, algorithms, trials):
+    # A budget of 7 rows puts the switch at 120 inside a chunk.
+    row_bytes = len(algorithms) * trials * L * 8
+    monkeypatch.setattr(harness, "_HISTORY_BYTES", rows * row_bytes)
+    assert_matches_reference(make_config(algorithms=algorithms, trials=trials))
+
+
+def test_wav_file_is_read_once_per_run(monkeypatch, tmp_path):
+    wav = tmp_path / "input.wav"
+    save_wav(speech_like(400, SeededStream(9)), wav)
+    config = make_config(trials=4, input_kind="wav", wav_path=str(wav))
+    reads = []
+
+    def counting_load_wav(path):
+        reads.append(path)
+        return load_wav(path)
+
+    monkeypatch.setattr(harness, "load_wav", counting_load_wav)
+    ensemble = run_ensemble(config)
+    assert len(reads) == 1
+    reference = [reference_trial(config, t) for t in range(config.trials)]
+    for name in config.algorithms:
+        expected = np.mean([reference[t][name][0] for t in range(config.trials)], axis=0)
+        np.testing.assert_allclose(ensemble.traces[name], expected, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("stage", ["_input_signal", "_noise_record"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_realization_is_rejected(monkeypatch, stage, bad):
+    original = getattr(harness, stage)
+
+    def poisoned(*args):
+        out = original(*args).copy()
+        out[17] = bad
+        return out
+
+    monkeypatch.setattr(harness, stage, poisoned)
+    name = "input" if stage == "_input_signal" else "desired signal"
+    with pytest.raises(ValueError, match=f"trial 0: the {name} has non-finite samples"):
+        run_ensemble(make_config())
