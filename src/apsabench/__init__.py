@@ -29,11 +29,7 @@ from apsabench.signals import (
 from apsabench.echo_path import (
     EchoPath,
     PathSchedule,
-    desired_signal,
-    load_taps,
     make_block_sparse,
-    path_at,
-    save_taps,
 )
 from apsabench.harness import (
     ExperimentConfig,
@@ -67,11 +63,7 @@ __all__ = [
     "white_gaussian",
     "EchoPath",
     "PathSchedule",
-    "desired_signal",
-    "load_taps",
     "make_block_sparse",
-    "path_at",
-    "save_taps",
     "ExperimentConfig",
     "MisalignmentTrace",
     "misalignment_db",

@@ -14,9 +14,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from apsabench import __version__
 from apsabench.audio import WavFormatError
-from apsabench.echo_path import EchoPath, PathSchedule, make_block_sparse
+from apsabench.echo_path import PathSchedule, make_block_sparse
 from apsabench.filters import FilterParams, GainVariant
 from apsabench.harness import (
     PATH_STREAM,
@@ -91,30 +93,34 @@ def _optional(parser):
     return parse
 
 
-# key -> (value parser, default as config text)
+# key -> (value parser, default as config text, where the value sits in an
+# ExperimentConfig).  This table is the one list of keys: parse_config builds
+# the config from it, and config_echo reads the config back through it.
 _SCHEMA: dict[str, tuple] = {
-    "filter_length": (int, "512"),
-    "projection_order": (int, "2"),
-    "block_length": (int, "4"),
-    "mu": (_finite_float, "0.001"),
-    "alpha": (_finite_float, "0"),
-    "epsilon": (_finite_float, "0.01"),
-    "delta": (_finite_float, "0.01"),
-    "gain_variant": (GainVariant, "mip_consistent"),
-    "algorithms": (_parse_algorithms, "apsa,mip-apsa,bs-mip-apsa"),
-    "input": (str.lower, "ar1"),
-    "pole": (_finite_float, "0.8"),
-    "wav_path": (_optional(str), "none"),
-    "snr_db": (_optional(_finite_float), "40"),
-    "sir_db": (_optional(_finite_float), "0"),
-    "impulse_probability": (_finite_float, "0.1"),
-    "iterations": (int, "100000"),
-    "switch_iteration": (_optional(int), "50000"),
-    "clusters": (_parse_clusters, "100:64"),
-    "switched_clusters": (_optional(_parse_clusters), "60:32,300:32"),
-    "normalize_path": (_parse_bool, "true"),
-    "trials": (int, "10"),
-    "seed": (int, "1"),
+    "filter_length": (int, "512", "params.filter_length"),
+    "projection_order": (int, "2", "params.projection_order"),
+    "block_length": (int, "4", "params.block_length"),
+    "mu": (_finite_float, "0.001", "params.step_size"),
+    "alpha": (_finite_float, "0", "params.proportionate_mix"),
+    "epsilon": (_finite_float, "0.01", "params.gain_regularizer"),
+    "delta": (_finite_float, "0.01", "params.update_regularizer"),
+    "gain_variant": (GainVariant, "mip_consistent", "params.gain_variant"),
+    "algorithms": (_parse_algorithms, "apsa,mip-apsa,bs-mip-apsa", "algorithms"),
+    "input": (str.lower, "ar1", "input_kind"),
+    "pole": (_finite_float, "0.8", "pole"),
+    "wav_path": (_optional(str), "none", "wav_path"),
+    "snr_db": (_optional(_finite_float), "40", "noise.snr_db"),
+    "sir_db": (_optional(_finite_float), "0", "noise.sir_db"),
+    "impulse_probability": (_finite_float, "0.1", "noise.impulse_probability"),
+    "iterations": (int, "100000", "iterations"),
+    "switch_iteration": (_optional(int), "50000", "schedule.switch_iteration"),
+    "clusters": (_parse_clusters, "100:64", "schedule.initial.clusters"),
+    "switched_clusters": (
+        _optional(_parse_clusters), "60:32,300:32", "schedule.switched.clusters"
+    ),
+    "normalize_path": (_parse_bool, "true", "normalize_path"),
+    "trials": (int, "10", "trials"),
+    "seed": (int, "1", "base_seed"),
 }
 
 
@@ -150,89 +156,71 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> ExperimentCon
     if overrides:
         pairs.update({k.lower(): v for k, v in overrides.items()})
 
-    resolved: dict[str, object] = {}
-    for key, (parser, default) in _SCHEMA.items():
+    # Values grouped by the object that holds them: "params" -> {field: value}.
+    fields: dict[str, dict[str, object]] = {}
+    for key, (parser, default, where) in _SCHEMA.items():
         text = pairs.pop(key, default)
         try:
-            resolved[key] = parser(text)
+            value = parser(text)
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"{path}: bad value for '{key}': {exc}") from exc
+        owner, _, name = where.rpartition(".")
+        fields.setdefault(owner, {})[name] = value
     if pairs:
         unknown = ", ".join(sorted(pairs))
         raise ConfigError(f"{path}: unknown key(s): {unknown}")
 
-    if (resolved["switch_iteration"] is None) != (resolved["switched_clusters"] is None):
+    top = fields[""]
+    switch_iteration = fields["schedule"]["switch_iteration"]
+    switched_clusters = fields["schedule.switched"]["clusters"]
+    if (switch_iteration is None) != (switched_clusters is None):
         raise ConfigError(
             f"{path}: switch_iteration and switched_clusters must both be set or both 'none'"
         )
 
-    wav_path = resolved["wav_path"]
+    wav_path = top["wav_path"]
     if wav_path is not None and not Path(wav_path).is_absolute():
-        wav_path = str((Path(path).parent / wav_path).resolve())
+        top["wav_path"] = str((Path(path).parent / wav_path).resolve())
+
+    def draw_path(clusters, stream_id: int, label: str):
+        return make_block_sparse(
+            fields["params"]["filter_length"],
+            clusters,
+            SeededStream(top["base_seed"], stream_id),
+            normalize=top["normalize_path"],
+            label=label,
+        )
 
     try:
-        params = FilterParams(
-            filter_length=resolved["filter_length"],
-            projection_order=resolved["projection_order"],
-            block_length=resolved["block_length"],
-            step_size=resolved["mu"],
-            proportionate_mix=resolved["alpha"],
-            gain_regularizer=resolved["epsilon"],
-            update_regularizer=resolved["delta"],
-            gain_variant=resolved["gain_variant"],
-        )
-        path_stream = SeededStream(resolved["seed"], PATH_STREAM)
-        initial = make_block_sparse(
-            resolved["filter_length"],
-            resolved["clusters"],
-            path_stream,
-            normalize=resolved["normalize_path"],
-            label="initial",
-        )
+        params = FilterParams(**fields["params"])
+        initial = draw_path(fields["schedule.initial"]["clusters"], PATH_STREAM, "initial")
         switched = None
-        if resolved["switched_clusters"] is not None:
-            switched = make_block_sparse(
-                resolved["filter_length"],
-                resolved["switched_clusters"],
-                SeededStream(resolved["seed"], PATH_STREAM + 4),
-                normalize=resolved["normalize_path"],
-                label="switched",
-            )
+        if switched_clusters is not None:
+            switched = draw_path(switched_clusters, PATH_STREAM + 4, "switched")
         schedule = PathSchedule(
-            initial=initial,
-            switched=switched,
-            switch_iteration=resolved["switch_iteration"],
+            initial=initial, switched=switched, switch_iteration=switch_iteration
         )
-        noise = NoiseModel(
-            snr_db=resolved["snr_db"],
-            sir_db=resolved["sir_db"],
-            impulse_probability=resolved["impulse_probability"],
-        )
-        return ExperimentConfig(
-            params=params,
-            schedule=schedule,
-            algorithms=resolved["algorithms"],
-            input_kind=resolved["input"],
-            pole=resolved["pole"],
-            wav_path=wav_path,
-            noise=noise,
-            iterations=resolved["iterations"],
-            trials=resolved["trials"],
-            base_seed=resolved["seed"],
-            normalize_path=resolved["normalize_path"],
-        )
+        noise = NoiseModel(**fields["noise"])
+        return ExperimentConfig(params=params, schedule=schedule, noise=noise, **top)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _format_float(value: float) -> str:
-    return repr(float(value))
-
-
-def _format_clusters(clusters) -> str:
-    return ",".join(f"{offset}:{size}" for offset, size in clusters)
+def _format_value(value) -> str:
+    """Config text for a resolved value; the parsers read it back unchanged."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, GainVariant):
+        return value.value
+    if isinstance(value, tuple):  # algorithm names or (offset, length) clusters
+        return ",".join(
+            f"{item[0]}:{item[1]}" if isinstance(item, tuple) else item for item in value
+        )
+    return str(value)
 
 
 def config_echo(config: ExperimentConfig) -> dict[str, str]:
@@ -241,37 +229,14 @@ def config_echo(config: ExperimentConfig) -> dict[str, str]:
     Feeding the echo through :func:`parse_config` reproduces the identical
     config, which is the reproducibility contract of the manifest.
     """
-    schedule = config.schedule
-    noise = config.noise
-    params = config.params
-    return {
-        "filter_length": str(params.filter_length),
-        "projection_order": str(params.projection_order),
-        "block_length": str(params.block_length),
-        "mu": _format_float(params.step_size),
-        "alpha": _format_float(params.proportionate_mix),
-        "epsilon": _format_float(params.gain_regularizer),
-        "delta": _format_float(params.update_regularizer),
-        "gain_variant": params.gain_variant.value,
-        "algorithms": ",".join(config.algorithms),
-        "input": config.input_kind,
-        "pole": _format_float(config.pole),
-        "wav_path": "none" if config.wav_path is None else config.wav_path,
-        "snr_db": "none" if noise.snr_db is None else _format_float(noise.snr_db),
-        "sir_db": "none" if noise.sir_db is None else _format_float(noise.sir_db),
-        "impulse_probability": _format_float(noise.impulse_probability),
-        "iterations": str(config.iterations),
-        "switch_iteration": (
-            "none" if schedule.switch_iteration is None else str(schedule.switch_iteration)
-        ),
-        "clusters": _format_clusters(schedule.initial.clusters),
-        "switched_clusters": (
-            "none" if schedule.switched is None else _format_clusters(schedule.switched.clusters)
-        ),
-        "normalize_path": "true" if config.normalize_path else "false",
-        "trials": str(config.trials),
-        "seed": str(config.base_seed),
-    }
+    echo = {}
+    for key, (_, _, where) in _SCHEMA.items():
+        value = config
+        for name in where.split("."):
+            # schedule.switched is None when the path never switches.
+            value = None if value is None else getattr(value, name)
+        echo[key] = _format_value(value)
+    return echo
 
 
 # Rows formatted per write.  The columns are converted to Python floats a
@@ -283,26 +248,30 @@ _WRITE_BLOCK = 1024
 
 def _write_table(trace: MisalignmentTrace, path, sep: str, header_lead: str) -> None:
     """Write a header, then one row per iteration: the index and each
-    column to 6 decimals, joined by ``sep``, LF line ends."""
+    column to 6 decimals, joined by ``sep``, LF line ends.
+
+    An empty trace raises ValueError; a failed write raises OSError naming
+    the path.
+    """
+    if trace.iterations < 1 or not trace.traces:
+        raise ValueError("trace is empty; nothing to write")
     columns = list(trace.traces.values())
     names = [f"{name}_misalign_db" for name in trace.traces]
     row_format = "%d" + sep + sep.join(["%.6f"] * len(columns)) + "\n"
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(header_lead + "iteration" + sep + sep.join(names) + "\n")
-        for a in range(0, trace.iterations, _WRITE_BLOCK):
-            b = min(a + _WRITE_BLOCK, trace.iterations)
-            rows = zip(range(a, b), *(col[a:b].tolist() for col in columns))
-            fh.write("".join(map(row_format.__mod__, rows)))
+    try:
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            fh.write(header_lead + "iteration" + sep + sep.join(names) + "\n")
+            for a in range(0, trace.iterations, _WRITE_BLOCK):
+                b = min(a + _WRITE_BLOCK, trace.iterations)
+                rows = zip(range(a, b), *(col[a:b].tolist() for col in columns))
+                fh.write("".join(map(row_format.__mod__, rows)))
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def emit_csv(trace: MisalignmentTrace, path) -> None:
     """Write the trace as CSV: header, one row per iteration, 6 decimals, LF."""
-    if trace.iterations < 1 or not trace.traces:
-        raise ValueError("trace is empty; nothing to write")
-    try:
-        _write_table(trace, path, ",", "")
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+    _write_table(trace, path, ",", "")
 
 
 def emit_plot_data(trace: MisalignmentTrace, path) -> None:
@@ -360,6 +329,9 @@ def main(argv: list[str] | None = None) -> int:
         started = time.perf_counter()
         trace = run_ensemble(config)
         elapsed = time.perf_counter() - started
+        for name, column in trace.traces.items():
+            if not np.isfinite(column).all():
+                raise ValueError(f"{name} misalignment is not finite: the run diverged; lower mu")
 
         csv_path = out_dir / "trace.csv"
         dat_path = out_dir / "trace.dat"

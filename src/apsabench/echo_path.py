@@ -1,4 +1,4 @@
-"""Block-sparse true systems, the desired-signal model, and path switching.
+"""Block-sparse true systems and path switching.
 
 An echo path here is an FIR impulse response whose energy sits in one or a
 few contiguous tap clusters (bulk delay plus short dispersive regions, as in
@@ -108,32 +108,3 @@ def make_block_sparse(
             raise ValueError("drawn taps are all zero; cannot normalize")
         taps /= norm
     return EchoPath(taps=taps, clusters=clusters, label=label)
-
-
-def desired_signal(x_history: np.ndarray, taps: np.ndarray, v: float) -> float:
-    """One desired sample: the input history filtered by the path, plus noise."""
-    if x_history.shape != taps.shape:
-        raise ValueError("input history and taps must have equal length")
-    return float(x_history @ taps) + v
-
-
-def path_at(schedule: PathSchedule, iteration: int) -> EchoPath:
-    """The path active at ``iteration``: switched from switch_iteration on."""
-    if iteration < 0:
-        raise ValueError(f"iteration must be >= 0, got {iteration}")
-    if schedule.switch_iteration is not None and iteration >= schedule.switch_iteration:
-        return schedule.switched
-    return schedule.initial
-
-
-def save_taps(path: EchoPath, file_path) -> None:
-    """Write taps as plain text, one real per line, full round-trip precision."""
-    with open(file_path, "w", encoding="ascii") as fh:
-        for tap in path.taps:
-            fh.write(repr(float(tap)) + "\n")
-
-
-def load_taps(file_path) -> np.ndarray:
-    """Read a plain-text tap list written by :func:`save_taps`."""
-    with open(file_path, "r", encoding="ascii") as fh:
-        return np.array([float(line) for line in fh if line.strip()])

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import lfilter
 
 from apsabench.audio import load_wav
 from apsabench.echo_path import PathSchedule
@@ -152,12 +151,19 @@ def _input_signal(
 
 
 def _clean_echo(x: np.ndarray, schedule: PathSchedule) -> np.ndarray:
-    """Noiseless echo x * h(n), honoring the path switch mid-record."""
-    clean = lfilter(schedule.initial.taps, [1.0], x)
+    """Noiseless echo x * h(n), honoring the path switch mid-record.
+
+    The taps are the first operand, as in scipy's FIR ``lfilter``: for
+    operands of equal length numpy's summation order follows the operand
+    order, so only this order gives ``lfilter(taps, [1], x)`` bit for bit
+    at every record length.
+    """
+    n = x.shape[0]
+    clean = np.convolve(schedule.initial.taps, x)[:n]
     k = schedule.switch_iteration
-    if k is not None and k < x.shape[0]:
-        switched = lfilter(schedule.switched.taps, [1.0], x)
-        clean = np.concatenate([clean[: max(k, 0)], switched[max(k, 0) :]])
+    if k is not None and k < n:
+        k = max(k, 0)
+        clean[k:] = np.convolve(schedule.switched.taps, x)[k:n]
     return clean
 
 

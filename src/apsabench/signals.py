@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,10 @@ def ar1_colored(count: int, pole: float, stream: SeededStream) -> np.ndarray:
     white = white_gaussian(count, 1.0, stream)
     if pole == 0.0:
         return white
-    return lfilter([1.0], [1.0, -pole], white)
+    # The recursion in Python floats: the same arithmetic, sample by sample,
+    # as a direct-form IIR filter with coefficients [1] / [1, -pole].
+    pole, y = float(pole), 0.0
+    return np.array([y := pole * y + v for v in white.tolist()])
 
 
 def bernoulli_gaussian(

@@ -1,10 +1,21 @@
+import contextlib
+import io
+import os
+import subprocess
+import sys
+import tempfile
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import apsabench
 from apsabench.audio import WavFormatError, load_wav, save_wav
 from apsabench.cli import (
+    _SCHEMA,
     ConfigError,
     config_echo,
     emit_csv,
@@ -15,6 +26,7 @@ from apsabench.cli import (
 )
 from apsabench.filters import GainVariant
 from apsabench.harness import MisalignmentTrace
+from apsabench.signals import SeededStream, speech_like
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -136,9 +148,20 @@ def test_manifest_round_trips_to_identical_config(tmp_path):
     assert parse_config(manifest) == config
 
 
-def test_config_echo_covers_every_schema_key(tmp_path):
-    from apsabench.cli import _SCHEMA
+def test_manifest_round_trips_disabled_values(tmp_path):
+    text = QUICK + "snr_db = none\nsir_db = none\n"
+    text = text.replace("switch_iteration = 60", "switch_iteration = none")
+    text = text.replace("switched_clusters = 9:6", "switched_clusters = none")
+    config = parse_config(write_config(tmp_path, text))
+    manifest = tmp_path / "manifest.txt"
+    write_manifest(config, manifest, ["trace.csv"])
+    lines = manifest.read_text().splitlines()
+    for key in ("wav_path", "snr_db", "sir_db", "switch_iteration", "switched_clusters"):
+        assert f"{key} = none" in lines
+    assert parse_config(manifest) == config
 
+
+def test_config_echo_covers_every_schema_key(tmp_path):
     config = parse_config(write_config(tmp_path, ""))
     assert set(config_echo(config)) == set(_SCHEMA)
 
@@ -223,9 +246,22 @@ def test_emit_csv_format(tmp_path):
     assert len(lines) == 4  # header + 2 rows + trailing newline split
 
 
-def test_emit_csv_rejects_empty_trace():
-    with pytest.raises(ValueError, match="empty"):
-        emit_csv(MisalignmentTrace(traces={}, iterations=0, trials=0), "/tmp/x.csv")
+def test_emit_csv_rejects_empty_trace(tmp_path):
+    # Both emitters share the precondition, and neither leaves a file.
+    for traces, iterations in (({}, 0), ({}, 5), ({"apsa": np.zeros(0)}, 0)):
+        empty = MisalignmentTrace(traces=traces, iterations=iterations, trials=0)
+        for emit in (emit_csv, emit_plot_data):
+            path = tmp_path / f"{emit.__name__}.out"
+            with pytest.raises(ValueError, match="empty"):
+                emit(empty, path)
+            assert not path.exists()
+
+
+@pytest.mark.parametrize("emit", [emit_csv, emit_plot_data])
+def test_emitters_name_the_path_on_write_failure(tmp_path, emit):
+    path = tmp_path / "missing-dir" / "trace.out"
+    with pytest.raises(OSError, match=r"cannot write .*missing-dir"):
+        emit(make_trace(), path)
 
 
 def test_emit_csv_is_byte_deterministic(tmp_path):
@@ -333,6 +369,16 @@ def test_main_out_of_range_ratio_exit_code(tmp_path, capsys, key, value):
     assert not (out / "trace.csv").exists()
 
 
+def test_main_diverging_run_exit_code(tmp_path, capsys):
+    # A huge step size sends the weights past double precision: the run
+    # must fail instead of writing inf and nan rows.
+    config = write_config(tmp_path, QUICK.replace("mu = 0.02", "mu = 1e300"))
+    out = tmp_path / "o"
+    assert main(["--config", str(config), "--out", str(out)]) == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
 def test_main_wav_error_exit_code(tmp_path, capsys):
     stereo = tmp_path / "stereo.wav"
     with wave.open(str(stereo), "wb") as wav:
@@ -363,3 +409,133 @@ def test_help_documents_exit_codes(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert "exit codes" in capsys.readouterr().out
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: the CLI must import and run with
+    # every scipy import blocked.
+    config = write_config(tmp_path, QUICK)
+    out = tmp_path / "o"
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from apsabench.cli import main\n"
+        "raise SystemExit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(apsabench.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run(
+        [sys.executable, "-c", code, "--config", str(config), "--out", str(out), "--quiet"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.txt", "trace.csv", "trace.dat"]
+
+
+# ------------------------------------------------------------------ config fuzz
+
+def _number(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+ALGORITHMS = ["apsa", "mip-apsa", "bs-mip-apsa"]
+_JUNK = st.sampled_from(["nan", "inf", "-inf", "1e400", "0x10", "", "abc", "none"])
+_SCALE = st.one_of(_number(0.0, 1.0), _number(0.0, 1e308))
+_CLUSTERS = st.sampled_from(["2:4", "0:8", "1:2,5:2", "6:2"])
+_BAD_CLUSTERS = st.one_of(
+    st.lists(st.tuples(st.integers(-1, 20), st.integers(-1, 10)), max_size=3).map(
+        lambda pairs: ",".join(f"{o}:{s}" for o, s in pairs)
+    ),
+    st.sampled_from(["a:b", "3", ",", "2:4,3:4"]),
+)
+# key -> (usual values, junk values).  The usual ones are small so that a
+# run stays short (iterations <= 64, trials <= 3); they may still break a
+# constraint between keys, or, like a huge mu, diverge.
+_KEY_VALUES = {
+    "filter_length": (st.sampled_from(["8", "16"]), st.sampled_from(["0", "-4", "7", "12", "x"])),
+    "projection_order": (st.sampled_from(["1", "2", "3"]), st.sampled_from(["0", "-1", "1.5"])),
+    "block_length": (st.sampled_from(["1", "2", "4", "8"]), st.sampled_from(["0", "3", "16"])),
+    "mu": (
+        st.one_of(_SCALE, st.sampled_from(["1e200", "1e300"])),
+        st.one_of(_JUNK, _number(-1e308, -1e-300)),
+    ),
+    "alpha": (_number(-1.0, 0.99), st.one_of(_JUNK, st.just("1"))),
+    "epsilon": (_SCALE, st.one_of(_JUNK, st.just("-1"))),
+    "delta": (_SCALE, st.one_of(_JUNK, st.just("-1"))),
+    "gain_variant": (
+        st.sampled_from([v.value for v in GainVariant]),
+        st.sampled_from(["MIP_CONSISTENT", "bogus"]),
+    ),
+    "algorithms": (
+        st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=3, unique=True).map(",".join),
+        st.sampled_from(["rls", "", "apsa,apsa", "BS_MIP_APSA, ,apsa"]),
+    ),
+    "input": (st.sampled_from(["white", "ar1", "wav", "WHITE"]), st.just("pink")),
+    "pole": (_number(-0.99, 0.99), st.one_of(_JUNK, st.sampled_from(["1", "-1"]))),
+    "wav_path": (
+        st.sampled_from(["none", "input.wav"]),
+        st.sampled_from(["missing.wav", "junk.wav"]),
+    ),
+    "snr_db": (st.one_of(st.just("none"), _number(-1e4, 1e4)), _JUNK),
+    "sir_db": (st.one_of(st.just("none"), _number(-1e4, 1e4)), _JUNK),
+    "impulse_probability": (_number(0.0, 1.0), st.one_of(_JUNK, st.just("1.5"))),
+    "iterations": (st.integers(1, 64).map(str), st.sampled_from(["0", "-2", "1e3"])),
+    "switch_iteration": (st.one_of(st.just("none"), st.integers(-5, 80).map(str)), st.just("x")),
+    "clusters": (_CLUSTERS, _BAD_CLUSTERS),
+    "switched_clusters": (st.one_of(st.just("none"), _CLUSTERS), _BAD_CLUSTERS),
+    "normalize_path": (st.sampled_from(["true", "false", "yes", "0"]), st.just("maybe")),
+    "trials": (st.integers(1, 3).map(str), st.sampled_from(["0", "-1"])),
+    "seed": (st.integers(0, 2**64).map(str), st.sampled_from(["-1", "1.0"])),
+}
+_EXTRA_LINE = st.one_of(
+    st.sampled_from(sorted(_KEY_VALUES)).flatmap(
+        lambda key: _KEY_VALUES[key][0].map(lambda value: f"{key} = {value}")
+    ),
+    st.from_regex(r"[a-z_]{1,12}", fullmatch=True)
+    .filter(lambda key: key not in _SCHEMA)
+    .map(lambda key: f"{key} = 1"),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=20),
+)
+
+
+@st.composite
+def config_lines(draw):
+    """Known keys with drawn values (one in ten junk), half the time with
+    the switch off, and half the time a few extra lines (a repeated key, an
+    unknown key or junk), in drawn order."""
+    known = {}
+    for key in draw(st.lists(st.sampled_from(sorted(_KEY_VALUES)), unique=True)):
+        usual, junk = _KEY_VALUES[key]
+        known[key] = draw(junk if draw(st.integers(0, 9)) == 0 else usual)
+    known.setdefault("iterations", "64")  # not the 100,000-sample default
+    if draw(st.booleans()):  # no switch, which takes both keys
+        known.update(switch_iteration="none", switched_clusters="none")
+    lines = [f"{key} = {value}" for key, value in known.items()]
+    if draw(st.booleans()):
+        lines += draw(st.lists(_EXTRA_LINE, min_size=1, max_size=2))
+    return draw(st.permutations(lines))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lines=config_lines())
+def test_fuzzed_config_runs_or_fails_with_a_documented_code(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_wav(speech_like(100, SeededStream(3)), tmp / "input.wav")
+        (tmp / "junk.wav").write_bytes(b"not a wav file")
+        cfg = tmp / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp / "out"
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(["--config", str(cfg), "--out", str(out), "--quiet"])
+        assert code in (0, 2, 3, 4, 5)
+        if code == 0:
+            rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1, ndmin=2)
+            assert np.all(np.isfinite(rows))
+        try:
+            config = parse_config(cfg)
+        except ConfigError:
+            return
+        write_manifest(config, tmp / "manifest.txt", [])
+        assert parse_config(tmp / "manifest.txt") == config

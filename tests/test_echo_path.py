@@ -1,18 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from apsabench.echo_path import (
-    EchoPath,
-    PathSchedule,
-    desired_signal,
-    load_taps,
-    make_block_sparse,
-    path_at,
-    save_taps,
-)
+from apsabench.echo_path import EchoPath, PathSchedule, make_block_sparse
 from apsabench.signals import SeededStream
 
 
@@ -65,58 +54,6 @@ def test_echo_path_rejects_all_zero_taps():
         EchoPath(taps=np.zeros(8), clusters=((2, 3),))
 
 
-def test_desired_signal_examples():
-    assert desired_signal(np.array([1.0, 2.0]), np.array([3.0, 4.0]), 0.5) == 11.5
-    assert desired_signal(np.array([9.0, 9.0]), np.zeros(2), 0.25) == 0.25
-    # Unit impulse at tap 0 echoes the newest input sample.
-    assert desired_signal(np.array([7.0, 1.0, 2.0]), np.array([1.0, 0.0, 0.0]), 0.0) == 7.0
-
-
-def test_desired_signal_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        desired_signal(np.zeros(3), np.zeros(4), 0.0)
-
-
-@given(
-    x=arrays(np.float64, 6, elements=st.floats(-1e3, 1e3)),
-    h1=arrays(np.float64, 6, elements=st.floats(-1e3, 1e3)),
-    h2=arrays(np.float64, 6, elements=st.floats(-1e3, 1e3)),
-)
-def test_desired_signal_linear_in_taps(x, h1, h2):
-    combined = desired_signal(x, h1 + h2, 0.0)
-    split = desired_signal(x, h1, 0.0) + desired_signal(x, h2, 0.0)
-    assert combined == pytest.approx(split, rel=1e-12, abs=1e-9)
-
-
-def _schedule(switch):
-    initial = make_block_sparse(16, [(0, 4)], SeededStream(1), label="a")
-    switched = make_block_sparse(16, [(8, 4)], SeededStream(2), label="b")
-    return PathSchedule(initial=initial, switched=switched, switch_iteration=switch)
-
-
-def test_path_at_without_switch():
-    initial = make_block_sparse(16, [(0, 4)], SeededStream(1))
-    schedule = PathSchedule(initial=initial)
-    assert path_at(schedule, 0) is initial
-    assert path_at(schedule, 10**6) is initial
-
-
-def test_path_at_switch_from_iteration_zero():
-    schedule = _schedule(0)
-    assert path_at(schedule, 0) is schedule.switched
-
-
-def test_path_at_switch_boundary():
-    schedule = _schedule(100)
-    assert path_at(schedule, 99) is schedule.initial
-    assert path_at(schedule, 100) is schedule.switched
-
-
-def test_path_at_rejects_negative_iteration():
-    with pytest.raises(ValueError):
-        path_at(_schedule(5), -1)
-
-
 def test_schedule_requires_matching_lengths():
     a = make_block_sparse(16, [(0, 4)], SeededStream(1))
     b = make_block_sparse(32, [(0, 4)], SeededStream(2))
@@ -131,10 +68,3 @@ def test_schedule_requires_switch_fields_together():
         PathSchedule(initial=a, switched=b)
     with pytest.raises(ValueError):
         PathSchedule(initial=a, switch_iteration=5)
-
-
-def test_tap_text_round_trip(tmp_path):
-    path = make_block_sparse(48, [(3, 7), (20, 5)], SeededStream(6))
-    out = tmp_path / "taps.txt"
-    save_taps(path, out)
-    assert np.array_equal(load_taps(out), path.taps)

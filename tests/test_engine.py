@@ -12,10 +12,13 @@ batch over trials through the ensemble mean.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from apsabench import harness
 from apsabench.audio import load_wav, save_wav
-from apsabench.echo_path import PathSchedule, make_block_sparse, path_at
+from apsabench.echo_path import PathSchedule, make_block_sparse
 from apsabench.filters import STEPPERS, FilterParams, FilterState, GainVariant
 from apsabench.harness import (
     PATH_STREAM,
@@ -34,13 +37,16 @@ ALL = ("apsa", "mip-apsa", "bs-mip-apsa")
 def reference_trial(config, trial_index):
     """Per-algorithm (dB trace, final weights) from the per-sample steppers."""
     x, y = harness._realization(config, trial_index)
+    schedule = config.schedule
+    k = schedule.switch_iteration
     out = {}
     for name in config.algorithms:
         stepper = STEPPERS[name]
         state = FilterState.zeros(config.params)
         trace = np.empty(config.iterations)
         for i in range(config.iterations):
-            trace[i] = misalignment_db(path_at(config.schedule, i).taps, state.weights)
+            active = schedule.initial if k is None or i < k else schedule.switched
+            trace[i] = misalignment_db(active.taps, state.weights)
             stepper(state, config.params, x[i], y[i])
         out[name] = (trace, state.weights)
     return out
@@ -261,3 +267,54 @@ def test_non_finite_realization_is_rejected(monkeypatch, stage, bad):
     name = "input" if stage == "_input_signal" else "desired signal"
     with pytest.raises(ValueError, match=f"trial 0: the {name} has non-finite samples"):
         run_ensemble(make_config())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    samples=arrays(np.float64, (2, 2, 12), elements=st.floats(-1e300, 1e300)),
+    projection_order=st.integers(1, 3),
+    regularizer=st.sampled_from([0.0, 0.01]),
+)
+def test_large_finite_samples_keep_weights_finite_and_steps_bounded(
+    samples, projection_order, regularizer
+):
+    # samples[t] is trial t's (x, y).  The steppers are checked step by
+    # step; the engine through the weights after every prefix of the run,
+    # batched (3 algorithms x 2 trials) and as a single filter.  A step of
+    # mu * d / sqrt(delta + |d|^2) has norm mu itself when delta is 0 or
+    # negligible next to |d|^2, so its measured norm may exceed mu by
+    # rounding: the bound allows 1e-12 relative.
+    n = samples.shape[-1]
+    config = make_config(
+        trials=2, iterations=n, switch=None,
+        projection_order=projection_order, regularizer=regularizer,
+    )
+    params = config.params
+    bound = params.step_size * (1.0 + 1e-12)
+    for name in ALL:
+        for x, y in samples:
+            state = FilterState.zeros(params)
+            for i in range(n):
+                before = state.weights.copy()
+                STEPPERS[name](state, params, x[i], y[i])
+                assert np.all(np.isfinite(state.weights)), (name, i)
+                assert np.linalg.norm(state.weights - before) <= bound, (name, i)
+
+    def realization(config, trial_index, *wav):
+        x, y = samples[trial_index]
+        return x[: config.iterations], y[: config.iterations]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_realization", realization)
+        for algorithms, trials in [(ALL, 2)] + [((name,), 1) for name in ALL]:
+            before = np.zeros((len(algorithms), trials, L))
+            for k in range(1, n + 1):
+                prefix = make_config(
+                    algorithms=algorithms, trials=trials, iterations=k, switch=None,
+                    projection_order=projection_order, regularizer=regularizer,
+                )
+                total, weights = _run_batch(prefix, range(trials))
+                assert np.all(np.isfinite(total)) and np.all(np.isfinite(weights))
+                steps = np.linalg.norm(weights - before, axis=-1)
+                assert np.all(steps <= bound), (algorithms, k, steps.max())
+                before = weights

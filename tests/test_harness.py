@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from apsabench.audio import save_wav
 from apsabench.echo_path import PathSchedule, make_block_sparse
@@ -8,11 +11,13 @@ from apsabench.harness import (
     MISALIGNMENT_FLOOR_DB,
     PATH_STREAM,
     ExperimentConfig,
+    _clean_echo,
+    _phases,
     misalignment_db,
     run_ensemble,
     run_trial,
 )
-from apsabench.signals import NoiseModel, SeededStream, speech_like
+from apsabench.signals import NoiseModel, SeededStream, ar1_colored, speech_like
 
 
 def small_config(**overrides):
@@ -59,6 +64,85 @@ def test_misalignment_hand_value():
 def test_misalignment_rejects_zero_true_path():
     with pytest.raises(ValueError, match="zero norm"):
         misalignment_db(np.zeros(3), np.ones(3))
+
+
+# ------------------------------------------------------- echo and its phases
+
+
+def lfilter_echo(x, schedule):
+    """The clean echo through scipy's FIR filter: the oracle for _clean_echo."""
+    clean = lfilter(schedule.initial.taps, [1.0], x)
+    k = schedule.switch_iteration
+    if k is not None and k < x.shape[0]:
+        k = max(k, 0)
+        clean[k:] = lfilter(schedule.switched.taps, [1.0], x)[k:]
+    return clean
+
+
+@st.composite
+def echo_cases(draw):
+    """An input record and a drawn block-sparse schedule; the record may be
+    shorter than the path, and the switch may come at 0, mid-run, at or
+    beyond the end, or never."""
+    L = draw(st.sampled_from([1, 4, 16, 64, 128, 512]))
+    n = draw(st.one_of(st.integers(1, L), st.just(L), st.integers(L, 5000)))
+    seed = draw(st.integers(0, 2**32 - 1))
+
+    def path(stream_id):
+        offset = draw(st.integers(0, L - 1))
+        size = draw(st.integers(1, L - offset))
+        return make_block_sparse(L, [(offset, size)], SeededStream(seed, stream_id))
+
+    switch = draw(
+        st.one_of(
+            st.none(), st.just(0), st.integers(1, max(1, n - 1)), st.integers(n, 2 * n)
+        )
+    )
+    switched = None if switch is None else path(PATH_STREAM + 4)
+    schedule = PathSchedule(path(PATH_STREAM), switched, switch)
+    x = ar1_colored(n, draw(st.sampled_from([0.0, 0.8])), SeededStream(seed, 1))
+    return x, schedule
+
+
+@given(case=echo_cases())
+def test_clean_echo_matches_lfilter_bitwise(case):
+    x, schedule = case
+    assert np.array_equal(_clean_echo(x, schedule), lfilter_echo(x, schedule))
+
+
+def _switching_config(switch):
+    initial = make_block_sparse(16, [(0, 4)], SeededStream(1), label="a")
+    switched = make_block_sparse(16, [(8, 4)], SeededStream(2), label="b")
+    schedule = PathSchedule(initial=initial, switched=switched, switch_iteration=switch)
+    return small_config(schedule=schedule, iterations=200)
+
+
+def test_phases_without_switch():
+    config = small_config()
+    [(taps, first, end)] = _phases(config)
+    assert taps is config.schedule.initial.taps
+    assert (first, end) == (0, config.iterations)
+
+
+def test_phases_switch_from_iteration_zero():
+    config = _switching_config(0)
+    [(taps, first, end)] = _phases(config)
+    assert taps is config.schedule.switched.taps
+    assert (first, end) == (0, 200)
+
+
+def test_phases_switch_boundary():
+    config = _switching_config(100)
+    (before, *_), (after, *_) = _phases(config)
+    assert before is config.schedule.initial.taps
+    assert after is config.schedule.switched.taps
+    assert [phase[1:] for phase in _phases(config)] == [(0, 100), (100, 200)]
+    # A switch at or beyond the end leaves only the initial path.
+    for switch in (200, 10**6):
+        late = _switching_config(switch)
+        [(taps, first, end)] = _phases(late)
+        assert taps is late.schedule.initial.taps
+        assert (first, end) == (0, 200)
 
 
 # ---------------------------------------------------------------- run_trial

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from apsabench.signals import (
     NoiseModel,
@@ -71,6 +72,18 @@ def test_ar1_recursion_matches_direct_loop():
     for n in range(200):
         prev = 0.8 * prev + w[n]
         assert x[n] == pytest.approx(prev, rel=1e-12)
+
+
+@given(
+    pole=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    count=st.integers(0, 5000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ar1_matches_lfilter_bitwise(pole, count, seed):
+    # The all-pole filter [1] / [1, -pole] is the recursion's oracle.
+    s = SeededStream(seed, 1)
+    expected = lfilter([1.0], [1.0, -pole], white_gaussian(count, 1.0, s))
+    assert np.array_equal(ar1_colored(count, pole, s), expected)
 
 
 def test_bernoulli_gaussian_p_zero_all_zero():
