@@ -30,6 +30,7 @@ from apsabench.echo_path import (
     EchoPath,
     PathSchedule,
     make_block_sparse,
+    path_at,
 )
 from apsabench.harness import (
     ExperimentConfig,
@@ -64,6 +65,7 @@ __all__ = [
     "EchoPath",
     "PathSchedule",
     "make_block_sparse",
+    "path_at",
     "ExperimentConfig",
     "MisalignmentTrace",
     "misalignment_db",

@@ -108,3 +108,12 @@ def make_block_sparse(
             raise ValueError("drawn taps are all zero; cannot normalize")
         taps /= norm
     return EchoPath(taps=taps, clusters=clusters, label=label)
+
+
+def path_at(schedule: PathSchedule, iteration: int) -> EchoPath:
+    """The path active at ``iteration``: switched from switch_iteration on."""
+    if iteration < 0:
+        raise ValueError(f"iteration must be >= 0, got {iteration}")
+    if schedule.switch_iteration is not None and iteration >= schedule.switch_iteration:
+        return schedule.switched
+    return schedule.initial

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from apsabench.echo_path import EchoPath, PathSchedule, make_block_sparse
+from apsabench.echo_path import EchoPath, PathSchedule, make_block_sparse, path_at
 from apsabench.signals import SeededStream
 
 
@@ -52,6 +52,35 @@ def test_echo_path_rejects_energy_outside_clusters():
 def test_echo_path_rejects_all_zero_taps():
     with pytest.raises(ValueError, match="nonzero"):
         EchoPath(taps=np.zeros(8), clusters=((2, 3),))
+
+
+def _schedule(switch):
+    initial = make_block_sparse(16, [(0, 4)], SeededStream(1), label="a")
+    switched = make_block_sparse(16, [(8, 4)], SeededStream(2), label="b")
+    return PathSchedule(initial=initial, switched=switched, switch_iteration=switch)
+
+
+def test_path_at_without_switch():
+    initial = make_block_sparse(16, [(0, 4)], SeededStream(1))
+    schedule = PathSchedule(initial=initial)
+    assert path_at(schedule, 0) is initial
+    assert path_at(schedule, 10**6) is initial
+
+
+def test_path_at_switch_from_iteration_zero():
+    schedule = _schedule(0)
+    assert path_at(schedule, 0) is schedule.switched
+
+
+def test_path_at_switch_boundary():
+    schedule = _schedule(100)
+    assert path_at(schedule, 99) is schedule.initial
+    assert path_at(schedule, 100) is schedule.switched
+
+
+def test_path_at_rejects_negative_iteration():
+    with pytest.raises(ValueError):
+        path_at(_schedule(5), -1)
 
 
 def test_schedule_requires_matching_lengths():

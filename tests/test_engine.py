@@ -318,3 +318,29 @@ def test_large_finite_samples_keep_weights_finite_and_steps_bounded(
                 steps = np.linalg.norm(weights - before, axis=-1)
                 assert np.all(steps <= bound), (algorithms, k, steps.max())
                 before = weights
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the direction energy d @ d overflows to inf for inputs above about "
+    "1e154, so the step is 0 instead of norm mu (ROADMAP item 7)",
+)
+@pytest.mark.parametrize("where", ["stepper", "engine"])
+def test_first_step_has_norm_mu_at_input_scale_1e160(monkeypatch, where):
+    # With no regularizer the normalized step is scale-free: the first APSA
+    # step moves the weights by exactly mu whatever the input's scale.
+    x = np.full(1, 1e160)
+    y = np.full(1, -1e160)
+    config = make_config(
+        algorithms=("apsa",), trials=1, iterations=1, switch=None, regularizer=0.0
+    )
+    params = config.params
+    with np.errstate(over="ignore", invalid="ignore"):
+        if where == "stepper":
+            state = STEPPERS["apsa"](FilterState.zeros(params), params, x[0], y[0])
+            weights = state.weights
+        else:
+            monkeypatch.setattr(harness, "_realization", lambda *args: (x, y))
+            _, weights = _run_batch(config, range(1))
+    assert np.linalg.norm(weights) == pytest.approx(params.step_size, rel=1e-12)
