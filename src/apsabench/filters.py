@@ -114,46 +114,72 @@ class FilterState:
         )
 
 
+# Smallest normal float: an energy below it has lost precision.
+_TINY = np.finfo(np.float64).tiny
+
+
 def _block_gains(
     weights: np.ndarray,
     block_length: int,
     proportionate_mix: float,
     gain_regularizer: float,
     variant: GainVariant,
+    out: np.ndarray | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
+    """Gains of ``(..., L)`` weights, written into ``out`` (C-contiguous).
+
+    ``scratch`` is a pair of arrays of shape ``weights.shape[:-1] + (1,)``
+    for the sums of the block norms and the denominators.  Either buffer is
+    allocated when not given; the gains are the same bit for bit, since each
+    step is the same ufunc call either way.
+    """
     L = weights.shape[-1]
     n_blocks = L // block_length
+    lead = weights.shape[:-1]
+    if out is None:
+        out = np.empty(weights.shape)
+    total, denom = scratch or (np.empty(lead + (1,)), np.empty(lead + (1,)))
     if block_length == 1:
         # A length-1 block norm is |h| exactly; sqrt(h*h) would be a detour.
-        norms = np.abs(weights)
+        norms = np.abs(weights, out)
     else:
-        blocks = weights.reshape(*weights.shape[:-1], n_blocks, block_length)
-        norms = np.sqrt(np.einsum("...ij,...ij->...i", blocks, blocks))
-    total = norms.sum(axis=-1, keepdims=True)
+        blocks = weights.reshape(lead + (n_blocks, block_length))
+        norms = np.einsum("...ij,...ij->...i", blocks, blocks)
+        np.sqrt(norms, norms)
+    np.add.reduce(norms, -1, None, total, True)
     if variant is GainVariant.BLOCK_BALANCED:
         floor = (1.0 - proportionate_mix) / (2.0 * n_blocks)
     else:
         floor = (1.0 - proportionate_mix) / (2.0 * L)
     scale = 2.0 * n_blocks if variant is GainVariant.AS_PRINTED else 2.0
-    denom = scale * total + gain_regularizer
+    np.multiply(total, scale, denom)
+    np.add(denom, gain_regularizer, denom)
+    zero = None
     if gain_regularizer == 0.0 and not denom.all():
         # All-zero weights with a zero regularizer: the proportionate share is
         # 0/0.  Use the uniform share (every block norm equal), which keeps
         # the gain-sum identities and the degenerate-case reductions exact.
         zero = denom[..., 0] == 0.0
         denom[zero] = 1.0
-        shares = (1.0 + proportionate_mix) * norms / denom
+    if proportionate_mix != 0.0:  # 1.0 * x is x
+        np.multiply(norms, 1.0 + proportionate_mix, norms)
+    shares = np.divide(norms, denom, norms)
+    if zero is not None:
         shares[zero] = (1.0 + proportionate_mix) / (scale * n_blocks)
-    else:
-        shares = (1.0 + proportionate_mix) * norms / denom
-    per_block = floor + shares
     if block_length == 1:
-        return per_block
-    return np.repeat(per_block, block_length, axis=-1)
+        return np.add(shares, floor, out)
+    # Each tap of a block gets the block's gain.
+    np.add(shares[..., None], floor, out.reshape(lead + (n_blocks, block_length)))
+    return out
 
 
 def ip_gains(
-    weights: np.ndarray, proportionate_mix: float, gain_regularizer: float
+    weights: np.ndarray,
+    proportionate_mix: float,
+    gain_regularizer: float,
+    out: np.ndarray | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Per-tap proportionate gains.
 
@@ -162,9 +188,11 @@ def ip_gains(
     With a positive regularizer every gain is strictly positive, and with a
     zero regularizer the gains sum to exactly 1.  ``weights`` may carry
     leading batch axes, shape ``(..., L)``; each row gets its own gains.
+    ``out`` and ``scratch`` are optional buffers (see :func:`_block_gains`).
     """
     return _block_gains(
-        weights, 1, proportionate_mix, gain_regularizer, GainVariant.MIP_CONSISTENT
+        weights, 1, proportionate_mix, gain_regularizer, GainVariant.MIP_CONSISTENT,
+        out, scratch,
     )
 
 
@@ -174,19 +202,24 @@ def bs_gains(
     proportionate_mix: float,
     gain_regularizer: float,
     variant: GainVariant = GainVariant.MIP_CONSISTENT,
+    out: np.ndarray | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Per-block proportionate gains, constant within each block.
 
     The share of block k is proportional to its Euclidean norm.  With
     ``block_length == 1`` and the MIP_CONSISTENT variant this is exactly
-    :func:`ip_gains`.  Like :func:`ip_gains`, it takes ``(..., L)`` weights.
+    :func:`ip_gains`.  Like :func:`ip_gains`, it takes ``(..., L)`` weights
+    and optional buffers.
     """
     L = weights.shape[-1]
     if block_length < 1 or L % block_length != 0:
         raise ValueError(
             f"weight length ({L}) must be divisible by block_length ({block_length})"
         )
-    return _block_gains(weights, block_length, proportionate_mix, gain_regularizer, variant)
+    return _block_gains(
+        weights, block_length, proportionate_mix, gain_regularizer, variant, out, scratch
+    )
 
 
 def error_vector(state: FilterState) -> np.ndarray:
@@ -215,12 +248,33 @@ def normalized_update(
     The step norm is bounded by ``step_size`` (strictly, when the regularizer
     is positive), which is the impulsive-noise robustness guarantee.  An
     exactly zero direction is a no-op; that guard also covers running with a
-    zero regularizer.
+    zero regularizer.  Directions whose energy ``d @ d`` overflows or
+    underflows keep the step of norm ``step_size`` (see :func:`_step_scale`).
     """
     energy = float(direction @ direction)
-    if energy == 0.0:
-        return weights
-    return weights + (step_size / math.sqrt(update_regularizer + energy)) * direction
+    scale, direction = _step_scale(direction, energy, step_size, update_regularizer)
+    return weights if scale == 0.0 else weights + scale * direction
+
+
+def _step_scale(
+    direction: np.ndarray, energy: float, step_size: float, update_regularizer: float
+) -> tuple[float, np.ndarray]:
+    """Scale s and direction d whose product s * d is the normalized step.
+
+    ``energy`` is ``direction @ direction``.  Where it is inf, or below the
+    smallest normal float while the direction is not zero, d is the
+    direction divided by its largest magnitude c, and the regularizer is
+    divided by c**2: the step is the same, but its norm is computed from
+    normal floats.  An exactly zero direction gives s = 0.
+    """
+    if _TINY <= energy < math.inf:
+        return step_size / math.sqrt(update_regularizer + energy), direction
+    if energy == 0.0 and not direction.any():
+        return 0.0, direction
+    c = float(np.max(np.abs(direction)))
+    direction = direction / c
+    den = update_regularizer / c / c + float(direction @ direction)
+    return step_size / math.sqrt(den), direction
 
 
 def _push_sample(state: FilterState, x_new: float, y_new: float) -> None:
@@ -298,19 +352,19 @@ def bs_mip_apsa_step(
 
 
 def gain_rule(algorithm: str, params: FilterParams):
-    """The gain rule of ``algorithm`` as a function of ``(..., L)`` weights.
+    """The gain rule of ``algorithm``: (function, arguments after the weights).
 
-    None stands for APSA's unit gains.  These are the rules the steppers
-    apply one filter at a time; the batched engine applies them to a slab
-    of filters at once.
+    None stands for APSA's unit gains; MIP-APSA's rule is per tap and
+    BS-MIP-APSA's per block.  These are the rules the steppers apply one
+    filter at a time; the batched engine calls them on a slab of filters,
+    as ``function(weights, *arguments, out=..., scratch=...)``.
     """
     if algorithm == "apsa":
         return None
     if algorithm == "mip-apsa":
-        return lambda w: ip_gains(w, params.proportionate_mix, params.gain_regularizer)
+        return ip_gains, (params.proportionate_mix, params.gain_regularizer)
     if algorithm == "bs-mip-apsa":
-        return lambda w: bs_gains(
-            w,
+        return bs_gains, (
             params.block_length,
             params.proportionate_mix,
             params.gain_regularizer,

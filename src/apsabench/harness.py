@@ -14,11 +14,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# Bare names for the per-sample loop: it runs once per sample, and a module
+# attribute lookup per call is a measurable share of a small step.
+from numpy import add, divide, einsum, matmul, multiply, sign, sqrt, subtract
 from numpy.lib.stride_tricks import sliding_window_view
 
 from apsabench.audio import load_wav
 from apsabench.echo_path import PathSchedule
-from apsabench.filters import STEPPERS, FilterParams, gain_rule
+from apsabench.filters import _TINY, STEPPERS, FilterParams, _step_scale, gain_rule
 from apsabench.signals import (
     NoiseModel,
     SeededStream,
@@ -226,16 +229,6 @@ def _phases(config: ExperimentConfig) -> list[tuple[np.ndarray, int, int]]:
     return [phase for phase in phases if phase[1] < phase[2]]
 
 
-def _batch_matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    # (M, T, L) matrices times (A, T, L) vectors -> (M, A, T)
-    return np.einsum("mtl,atl->mat", mat, vec)
-
-
-def _batch_vecmat(vec: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    # (M, A, T) coefficients over (M, A, T, L) rows -> (A, T, L)
-    return np.einsum("mat,matl->atl", vec, mat)
-
-
 def _batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # Row-wise dot products over the last axis, kept as a length-1 axis.
     return (a[..., None, :] @ b[..., :, None])[..., 0]
@@ -249,8 +242,11 @@ def _add_db(squared_errors: np.ndarray, den, total: np.ndarray) -> None:
         np.log10(squared_errors, out=squared_errors)
     squared_errors *= 10.0
     np.maximum(squared_errors, MISALIGNMENT_FLOOR_DB, out=squared_errors)
-    for t in range(squared_errors.shape[-1]):
-        total += squared_errors[..., t]
+    # Trials first and outermost in memory, so that the reduction adds them
+    # in order; over the last axis numpy would sum pairwise.
+    by_trial = np.ascontiguousarray(squared_errors.transpose(2, 0, 1))
+    by_trial[0] += total
+    np.add.reduce(by_trial, axis=0, out=total)
 
 
 def _run_batch(
@@ -261,13 +257,13 @@ def _run_batch(
 
     All A x T filters advance together, one Python iteration per sample.
     Each filter follows its per-sample stepper in ``filters.STEPPERS``; only
-    the summation order of the dot products may differ.  When an algorithm
-    with a gain rule is selected, APSA runs the memory pipeline with unit
-    gains, so its memory holds the regressors themselves; a run of APSA
-    alone takes its direction from the regressors and keeps no memory.
-    With a single filter the batch axes are dropped, and the loop runs on
-    1-D and 2-D arrays with plain matrix products and a step size in
-    Python floats.
+    the summation order of the dot products may differ.  The algorithms
+    differ only in their gains: one (A, T, L) slab holds them, all ones for
+    APSA, and the newest row of the memory of gain-weighted regressors is
+    that slab times the newest regressors.  A run of APSA alone takes its
+    direction from the regressors and keeps no memory.  With a single
+    filter the batch axes are dropped, and the loop runs on 1-D and 2-D
+    arrays with plain matrix products and a step size in Python floats.
     """
     params = config.params
     L, M, N = params.filter_length, params.projection_order, config.iterations
@@ -288,71 +284,113 @@ def _run_batch(
     # Time runs along the first axis, so one plain slice serves every trial.
     windows = sliding_window_view(xs, L, axis=1).transpose(1, 0, 2)
     batch = (A, T) if A * T > 1 else ()
-    weights = np.zeros(batch + (L,))
-    gain_rules = [gain_rule(name, params) for name in config.algorithms]
+    # The history holds the weights entering each iteration of a chunk: the
+    # step of row k writes row k + 1.  At most _CHUNK rows and
+    # _HISTORY_BYTES, plus the row that carries into the next chunk.
+    chunk = max(1, min(_CHUNK, _HISTORY_BYTES // (A * T * L * 8)))
+    rows = min(N, chunk)
+    history = np.zeros((rows + 1,) + batch + (L,))
+    rules = [(a, gain_rule(name, params)) for a, name in enumerate(config.algorithms)]
+    rules = [((a,) if batch else (), rule) for a, rule in rules if rule is not None]
+    if rules:
+        # Gain-weighted regressors, newest first like xs: iteration k of a
+        # chunk of K writes row p = K - 1 - k and reads rows p to p + M - 1,
+        # and each chunk starts by carrying the newest M - 1 rows behind its
+        # own.  The gain slab's APSA rows stay 1.0, and 1.0 * x is x.
+        memory = np.zeros(batch + (rows + M - 1, L))
+        gains = np.ones(batch + (L,))
+        scratch = (np.empty(batch[1:] + (1,)), np.empty(batch[1:] + (1,)))
+        # Each rule writes its algorithm's row of the slab.
+        rules = [(a, fn, (*args, gains[a], scratch)) for a, (fn, args) in rules]
+    else:
+        # APSA alone has A = 1 and takes its direction from the regressors.
+        memory = windows.transpose(1, 0, 2)[None] if batch else windows[:, 0]
     if batch:
         ys = ys.T[:, None, :]
-        matvec, vecmat = _batch_matvec, _batch_vecmat
-        # APSA alone has A = 1: its direction rows are the regressors with
-        # that axis added.
-        apsa_rows = windows[:, None]
+        errors = np.empty((M,) + batch)
+        direction = np.empty(batch + (L,))
+        # Signs times memory rows, and the energies d @ d by _batch_dot's
+        # kernel, as (A, T) stacks of matrix products.
+        signs_rows = errors.transpose(1, 2, 0)[..., None, :]
+        direction_row, direction_col = direction[..., None, :], direction[..., None]
+        energy = np.empty(batch + (1, 1))
+        energy_col, energy_flat = energy[..., 0], energy.reshape(-1)
+        scale = np.empty(batch + (1,))
     else:
         windows, ys = windows[:, 0], ys[0]
-        matvec = vecmat = np.matmul
-        apsa_rows = windows
-    memory = None
-    if any(gain_rules):
-        # Ring buffer of gain-weighted regressors: slot n % M holds the newest.
-        memory = np.zeros((M,) + batch + (L,))
-        slabs = [(weights[a], memory[:, a]) for a in range(A)] if batch else [(weights, memory)]
-        rules = [(rule, w, m) for rule, (w, m) in zip(gain_rules, slabs)]
-        # Memory column j (j samples ago) sits in slot (n - j) % M, so the
-        # signs are permuted into slot order instead of moving the memory.
-        slot_order = [np.array([(slot - j) % M for j in range(M)]) for slot in range(M)]
+        errors, direction = np.empty(M), np.empty(L)
+        signs_rows, direction_row = errors, direction
     mu, delta = params.step_size, params.update_regularizer
 
     total = np.zeros((N, A))
-    chunk = max(1, min(_CHUNK, _HISTORY_BYTES // weights.nbytes))
-    history = np.empty((min(N, chunk),) + weights.shape)
     for taps, first, end in _phases(config):
         # The kernel of the numerator, so that a zero estimate reads exactly
         # |h|^2 / |h|^2 = 1, i.e. 0 dB and not -0 dB.
-        den = _batch_dot(taps, taps)
-        if not np.all(den):
+        taps_energy = _batch_dot(taps, taps)
+        if not np.all(taps_energy):
             raise ValueError("true path has zero norm; misalignment is undefined")
         for start in range(first, end, chunk):
-            stop = min(start + chunk, end)
-            for n in range(start, stop):
-                history[n - start] = weights
-                i = N - 1 - n
+            K = min(start + chunk, end) - start
+            if rules:
+                memory[..., K : K + M - 1, :] = memory[..., : M - 1, :]
+            for k in range(K):
+                i = N - 1 - start - k
+                weights = history[k]
                 regressors = windows[i : i + M]
-                signs = np.sign(ys[i : i + M] - matvec(regressors, weights))
-                if memory is None:
-                    direction = vecmat(signs, apsa_rows[i : i + M])
-                else:
-                    slot = n % M
-                    for rule, w, m in rules:
-                        if rule is None:
-                            m[slot] = regressors[0]
-                        else:
-                            np.multiply(rule(w), regressors[0], out=m[slot])
-                    direction = vecmat(signs[slot_order[slot]], memory)
                 if batch:
-                    energy = _batch_dot(direction, direction)
-                    # sign(energy) is 1, or 0 for a zero direction, which
-                    # leaves the weights alone as in the stepper; the divisor
-                    # stays positive when delta is 0 too, so no inf * 0
-                    # arises.  A NaN stays NaN.
-                    scale = mu * np.sign(energy) / np.sqrt(delta + energy + (energy == 0.0))
+                    einsum("mtl,atl->mat", regressors, weights, out=errors)
                 else:
-                    # The stepper's own arithmetic, in Python floats.
-                    energy = float(direction @ direction)
-                    scale = 0.0 if energy == 0.0 else mu / math.sqrt(delta + energy)
-                weights += scale * direction
-            rows = history[: stop - start]
-            np.subtract(taps, rows, out=rows)
-            _add_db(_batch_dot(rows, rows).reshape(stop - start, A, T), den, total[start:stop])
-    return total, weights.reshape(A, T, L)
+                    matmul(regressors, weights, errors)
+                subtract(ys[i : i + M], errors, errors)
+                sign(errors, errors)
+                if rules:
+                    for a, fn, args in rules:
+                        fn(weights[a], *args)
+                    p = K - 1 - k
+                    multiply(gains, regressors[0], memory[..., p, :])
+                else:
+                    p = i
+                matmul(signs_rows, memory[..., p : p + M, :], direction_row)
+                if batch:
+                    matmul(direction_row, direction_col, energy)
+                    # The stepper's scale mu / sqrt(delta + e), unless some
+                    # energy e is 0, inf or below the smallest normal float;
+                    # NaN stays NaN either way.
+                    energies = energy_flat.tolist()
+                    if _TINY <= min(energies) and max(energies) < math.inf:
+                        add(energy_col, delta, scale)
+                        sqrt(scale, scale)
+                        divide(mu, scale, scale)
+                    else:
+                        _rescale_steps(direction, energies, mu, delta, scale)
+                    multiply(direction, scale, direction)
+                else:
+                    # The same for one filter; the first branch is
+                    # _step_scale's common case, inlined.
+                    e = float(direction @ direction)
+                    if _TINY <= e < math.inf:
+                        step = mu / math.sqrt(delta + e)
+                    else:
+                        step, direction[:] = _step_scale(direction, e, mu, delta)
+                    multiply(direction, step, direction)
+                add(weights, direction, history[k + 1])
+            diffs = history[:K]
+            np.subtract(taps, diffs, diffs)
+            squared = _batch_dot(diffs, diffs).reshape(K, A, T)
+            _add_db(squared, taps_energy, total[start : start + K])
+            history[0] = history[K]
+    return total, history[0].reshape(A, T, L).copy()
+
+
+def _rescale_steps(
+    direction: np.ndarray, energies: list[float], mu: float, delta: float, scale: np.ndarray
+) -> None:
+    """Step scales of every filter by the stepper's rule, one at a time, for
+    a step where some energy is 0, inf or below the smallest normal float;
+    the directions that the rule rescales are replaced."""
+    rows = direction.reshape(-1, direction.shape[-1])
+    for r, e in enumerate(energies):
+        scale.flat[r], rows[r] = _step_scale(rows[r], e, mu, delta)
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> MisalignmentTrace:

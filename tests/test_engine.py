@@ -21,8 +21,10 @@ from apsabench.audio import load_wav, save_wav
 from apsabench.echo_path import PathSchedule, make_block_sparse
 from apsabench.filters import STEPPERS, FilterParams, FilterState, GainVariant
 from apsabench.harness import (
+    MISALIGNMENT_FLOOR_DB,
     PATH_STREAM,
     ExperimentConfig,
+    _add_db,
     _run_batch,
     misalignment_db,
     run_ensemble,
@@ -165,6 +167,42 @@ def test_engine_matches_steppers_on_wav_input(tmp_path, trials):
 def test_engine_matches_steppers_without_regularizers(trials):
     assert_matches_reference(make_config(regularizer=0.0, trials=trials))
     assert_matches_reference(make_config(algorithms=("bs-mip-apsa",), regularizer=0.0, trials=1))
+
+
+@pytest.mark.parametrize("trials", [1, 2, 8, 10, 37])
+def test_add_db_adds_trials_one_after_another(trials):
+    # The loop below is the reference: one trial at a time, in order.  From
+    # 8 trials on, a reduction over the trial axis of a (K, A, T) array
+    # would sum pairwise and change the bits.
+    rng = np.random.default_rng(trials)
+    squared = rng.uniform(1e-9, 10.0, (8, 3, trials))
+    squared[2, 1, 0] = 0.0  # reads the floor
+    den = np.array([2.5])
+    total = rng.uniform(-500.0, 0.0, (8, 3))
+    expected = total.copy()
+    with np.errstate(divide="ignore"):
+        db = np.maximum(10.0 * np.log10(squared / den), MISALIGNMENT_FLOOR_DB)
+    for t in range(trials):
+        expected += db[..., t]
+    _add_db(squared, den, total)
+    assert np.array_equal(total, expected)
+
+
+@pytest.mark.parametrize("projection_order", [1, 2, 3])
+def test_a_column_does_not_depend_on_the_other_algorithms(projection_order):
+    # Each algorithm owns one row of the gain slab and of the memory: a run
+    # of any subset with a gain rule gives bitwise the columns and weights
+    # of the full run.  APSA alone keeps no memory and is not compared.
+    config = make_config(trials=2, projection_order=projection_order)
+    full_total, full_weights = _run_batch(config, range(2))
+    subsets = [("mip-apsa",), ("bs-mip-apsa",), ("apsa", "mip-apsa"),
+               ("apsa", "bs-mip-apsa"), ("mip-apsa", "bs-mip-apsa")]
+    for subset in subsets:
+        total, weights = _run_batch(make_config(algorithms=subset, trials=2,
+                                                projection_order=projection_order), range(2))
+        for a, name in enumerate(subset):
+            assert np.array_equal(total[:, a], full_total[:, ALL.index(name)]), (subset, name)
+            assert np.array_equal(weights[a], full_weights[ALL.index(name)]), (subset, name)
 
 
 def test_ensemble_is_the_trial_order_mean_of_trials():
@@ -320,27 +358,37 @@ def test_large_finite_samples_keep_weights_finite_and_steps_bounded(
                 before = weights
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="the direction energy d @ d overflows to inf for inputs above about "
-    "1e154, so the step is 0 instead of norm mu (ROADMAP item 7)",
-)
-@pytest.mark.parametrize("where", ["stepper", "engine"])
-def test_first_step_has_norm_mu_at_input_scale_1e160(monkeypatch, where):
-    # With no regularizer the normalized step is scale-free: the first APSA
-    # step moves the weights by exactly mu whatever the input's scale.
-    x = np.full(1, 1e160)
-    y = np.full(1, -1e160)
-    config = make_config(
-        algorithms=("apsa",), trials=1, iterations=1, switch=None, regularizer=0.0
-    )
-    params = config.params
+@pytest.mark.parametrize("scale", [1e-162, 1e-160, 1e160, 1e300])
+def test_steps_keep_norm_mu_at_extreme_input_scales(monkeypatch, scale):
+    # With no regularizer the normalized step is scale-free: every step has
+    # norm mu whatever the input's scale.  At 1e-160 the direction energy
+    # d @ d is subnormal, at 1e-162 it is 0 although d is not, and at 1e160
+    # and 1e300 it overflows to inf.  The steppers are checked step by
+    # step; the batched engine (3 algorithms x 1 trial) and the single
+    # filter against their final weights.
+    rng = np.random.default_rng(3)
+    n = 6
+    x = scale * rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.0, n)
+    y = scale * rng.standard_normal(n)
+    config = make_config(trials=1, iterations=n, switch=None, regularizer=0.0)
+    mu = config.params.step_size
+    reference = {}
+    for name in ALL:
+        state = FilterState.zeros(config.params)
+        for i in range(n):
+            before = state.weights.copy()
+            with np.errstate(over="ignore"):
+                STEPPERS[name](state, config.params, x[i], y[i])
+            assert np.linalg.norm(state.weights - before) == pytest.approx(mu, rel=1e-12), (name, i)
+        reference[name] = state.weights
+    monkeypatch.setattr(harness, "_realization", lambda *args: (x, y))
     with np.errstate(over="ignore", invalid="ignore"):
-        if where == "stepper":
-            state = STEPPERS["apsa"](FilterState.zeros(params), params, x[0], y[0])
-            weights = state.weights
-        else:
-            monkeypatch.setattr(harness, "_realization", lambda *args: (x, y))
-            _, weights = _run_batch(config, range(1))
-    assert np.linalg.norm(weights) == pytest.approx(params.step_size, rel=1e-12)
+        _, weights = _run_batch(config, range(1))
+        singles = [
+            _run_batch(make_config(algorithms=(name,), trials=1, iterations=n, switch=None,
+                                   regularizer=0.0), range(1))[1][0, 0]
+            for name in ALL
+        ]
+    for a, name in enumerate(ALL):
+        assert relative_gap(weights[a, 0], reference[name]) <= 1e-12, name
+        assert relative_gap(singles[a], reference[name]) <= 1e-12, name

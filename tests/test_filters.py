@@ -10,6 +10,7 @@ from apsabench.filters import (
     FilterParams,
     FilterState,
     GainVariant,
+    _block_gains,
     apsa_step,
     bs_gains,
     bs_mip_apsa_step,
@@ -185,6 +186,55 @@ def test_gains_of_a_weight_slab_match_row_by_row(variant, block_length, w, alpha
         scale = 2 * n_blocks if variant is GainVariant.AS_PRINTED else 2
         assert np.allclose(slab[1], floor + (1 + alpha) / (scale * n_blocks), rtol=1e-15)
     assert np.array_equal(ip_gains(w, alpha, eps)[0], ip_gains(w[0], alpha, eps))
+
+
+def allocating_block_gains(weights, block_length, mix, eps, variant):
+    """The gain rule as it was written before it took buffers: a fresh
+    array per step and ``np.repeat`` to spread block gains over taps."""
+    L = weights.shape[-1]
+    n_blocks = L // block_length
+    if block_length == 1:
+        norms = np.abs(weights)
+    else:
+        blocks = weights.reshape(*weights.shape[:-1], n_blocks, block_length)
+        norms = np.sqrt(np.einsum("...ij,...ij->...i", blocks, blocks))
+    total = norms.sum(axis=-1, keepdims=True)
+    n = n_blocks if variant is GainVariant.BLOCK_BALANCED else L
+    floor = (1.0 - mix) / (2.0 * n)
+    scale = 2.0 * n_blocks if variant is GainVariant.AS_PRINTED else 2.0
+    denom = scale * total + eps
+    zero = denom[..., 0] == 0.0
+    denom[zero] = 1.0
+    shares = (1.0 + mix) * norms / denom
+    shares[zero] = (1.0 + mix) / (scale * n_blocks)
+    return np.repeat(floor + shares, block_length, axis=-1)
+
+
+@pytest.mark.parametrize("variant", list(GainVariant))
+@pytest.mark.parametrize("block_length", [1, 2, 4, 12])
+@pytest.mark.parametrize("mix", [-0.5, 0.0, 0.5])
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+def test_block_gains_into_buffers_match_the_allocating_rule(variant, block_length, mix, eps):
+    # The engine writes each algorithm's gains into its row of one slab and
+    # reuses one scratch pair for all of them; buffers full of NaN from an
+    # earlier call must not leak into the gains.  Zero rows take the 0/0
+    # branch when eps is 0.
+    rng = np.random.default_rng(block_length)
+    for shape in [(12,), (3, 12), (2, 3, 12)]:
+        w = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 1e3], shape[:-1] + (1,))
+        if len(shape) > 1:
+            w[..., 1, :] = 0.0
+        expected = allocating_block_gains(w, block_length, mix, eps, variant)
+        allocated = _block_gains(w, block_length, mix, eps, variant)
+        slab = np.full((2,) + shape, np.nan)
+        scratch = (np.full(shape[:-1] + (1,), np.nan), np.full(shape[:-1] + (1,), np.nan))
+        returned = _block_gains(w, block_length, mix, eps, variant, slab[1], scratch)
+        assert np.shares_memory(returned, slab[1])
+        assert np.array_equal(allocated, expected)
+        assert np.array_equal(slab[1], expected)
+        assert np.all(np.isnan(slab[0]))
+        if block_length == 1 and variant is GainVariant.MIP_CONSISTENT:
+            assert np.array_equal(ip_gains(w, mix, eps, slab[0], scratch), expected)
 
 
 # ------------------------------------------------- error, sign, memory, update
