@@ -9,6 +9,7 @@ with pole 0.8, 40 dB SNR, 0 dB SIR impulses with probability 0.1, step size
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 import time
@@ -246,37 +247,57 @@ def config_echo(config: ExperimentConfig) -> dict[str, str]:
 _WRITE_BLOCK = 1024
 
 
-def _write_table(trace: MisalignmentTrace, path, sep: str, header_lead: str) -> None:
+def _write_tables(trace: MisalignmentTrace, targets) -> None:
     """Write a header, then one row per iteration: the index and each
-    column to 6 decimals, joined by ``sep``, LF line ends.
+    column to 6 decimals, LF line ends, to every (path, header lead,
+    separator) of ``targets``, in one pass.
 
-    An empty trace raises ValueError; a failed write raises OSError naming
-    the path.
+    Each block of rows is formatted once, with commas; a target with
+    another separator gets them replaced, since the numbers and column
+    names hold none.  An empty trace raises ValueError before any file is
+    opened; a failed open, write or close raises OSError naming the path.
     """
     if trace.iterations < 1 or not trace.traces:
         raise ValueError("trace is empty; nothing to write")
     columns = list(trace.traces.values())
     names = [f"{name}_misalign_db" for name in trace.traces]
-    row_format = "%d" + sep + sep.join(["%.6f"] * len(columns)) + "\n"
+    row_format = "%d" + ",%.6f" * len(columns) + "\n"
+    header = ",".join(["iteration", *names]) + "\n"
+    path = None
     try:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(header_lead + "iteration" + sep + sep.join(names) + "\n")
+        with contextlib.ExitStack() as stack:
+            files = []
+            for path, lead, sep in targets:
+                fh = stack.enter_context(open(path, "w", encoding="ascii", newline=""))
+                fh.write(lead + header.replace(",", sep))
+                files.append((path, fh, sep))
             for a in range(0, trace.iterations, _WRITE_BLOCK):
                 b = min(a + _WRITE_BLOCK, trace.iterations)
                 rows = zip(range(a, b), *(col[a:b].tolist() for col in columns))
-                fh.write("".join(map(row_format.__mod__, rows)))
+                text = "".join(map(row_format.__mod__, rows))
+                for path, fh, sep in files:
+                    fh.write(text if sep == "," else text.replace(",", sep))
+            for path, fh, _ in files:
+                fh.close()
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def emit_csv(trace: MisalignmentTrace, path) -> None:
-    """Write the trace as CSV: header, one row per iteration, 6 decimals, LF."""
-    _write_table(trace, path, ",", "")
+def emit_csv(trace: MisalignmentTrace, path, plot_path=None) -> None:
+    """Write the trace as CSV: header, one row per iteration, 6 decimals, LF.
+
+    With ``plot_path``, the file of :func:`emit_plot_data` is written in the
+    same pass, from the same formatted rows.
+    """
+    targets = [(path, "", ",")]
+    if plot_path is not None:
+        targets.append((plot_path, "# ", " "))
+    _write_tables(trace, targets)
 
 
 def emit_plot_data(trace: MisalignmentTrace, path) -> None:
     """Write a gnuplot-friendly variant: '#'-header, space-separated columns."""
-    _write_table(trace, path, " ", "# ")
+    _write_tables(trace, [(path, "# ", " ")])
 
 
 def write_manifest(config: ExperimentConfig, path, output_names: list[str]) -> None:
@@ -336,8 +357,7 @@ def main(argv: list[str] | None = None) -> int:
         csv_path = out_dir / "trace.csv"
         dat_path = out_dir / "trace.dat"
         manifest_path = out_dir / "manifest.txt"
-        emit_csv(trace, csv_path)
-        emit_plot_data(trace, dat_path)
+        emit_csv(trace, csv_path, dat_path)
         write_manifest(config, manifest_path, [csv_path.name, dat_path.name])
 
         if not args.quiet:

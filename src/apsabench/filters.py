@@ -251,7 +251,9 @@ def normalized_update(
     zero regularizer.  Directions whose energy ``d @ d`` overflows or
     underflows keep the step of norm ``step_size`` (see :func:`_step_scale`).
     """
-    energy = float(direction @ direction)
+    # An energy that overflows to inf is handled by _step_scale.
+    with np.errstate(over="ignore"):
+        energy = float(direction @ direction)
     scale, direction = _step_scale(direction, energy, step_size, update_regularizer)
     return weights if scale == 0.0 else weights + scale * direction
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 # Bare names for the per-sample loop: it runs once per sample, and a module
 # attribute lookup per call is a measurable share of a small step.
-from numpy import add, divide, einsum, matmul, multiply, sign, sqrt, subtract
+from numpy import add, divide, dot, einsum, matmul, multiply, sign, sqrt, subtract
 from numpy.lib.stride_tricks import sliding_window_view
 
 from apsabench.audio import load_wav
@@ -261,9 +261,11 @@ def _run_batch(
     differ only in their gains: one (A, T, L) slab holds them, all ones for
     APSA, and the newest row of the memory of gain-weighted regressors is
     that slab times the newest regressors.  A run of APSA alone takes its
-    direction from the regressors and keeps no memory.  With a single
-    filter the batch axes are dropped, and the loop runs on 1-D and 2-D
-    arrays with plain matrix products and a step size in Python floats.
+    direction from the regressors and keeps no memory.  A single filter has
+    its own loop without the batch axes: 1-D and 2-D arrays, ``np.dot`` for
+    the direction and its energy (the same bits as ``np.matmul`` for these
+    two products, but cheaper to call), a step size in Python floats, and
+    the weights read from row views of the history made once per run.
     """
     params = config.params
     L, M, N = params.filter_length, params.projection_order, config.iterations
@@ -303,8 +305,9 @@ def _run_batch(
         # Each rule writes its algorithm's row of the slab.
         rules = [(a, fn, (*args, gains[a], scratch)) for a, (fn, args) in rules]
     else:
-        # APSA alone has A = 1 and takes its direction from the regressors.
-        memory = windows.transpose(1, 0, 2)[None] if batch else windows[:, 0]
+        # APSA alone has A = 1 and takes its direction from the regressors;
+        # the single filter takes it from the regressor slice it holds.
+        memory = windows.transpose(1, 0, 2)[None]
     if batch:
         ys = ys.T[:, None, :]
         errors = np.empty((M,) + batch)
@@ -319,66 +322,86 @@ def _run_batch(
     else:
         windows, ys = windows[:, 0], ys[0]
         errors, direction = np.empty(M), np.empty(L)
-        signs_rows, direction_row = errors, direction
+        # The single filter reads its weights from views made once, not by
+        # indexing the history per step.
+        weight_rows = list(history)
+        fn, args = rules[0][1:] if rules else (None, ())
     mu, delta = params.step_size, params.update_regularizer
+    tiny, inf, root = float(_TINY), math.inf, math.sqrt
 
     total = np.zeros((N, A))
-    for taps, first, end in _phases(config):
-        # The kernel of the numerator, so that a zero estimate reads exactly
-        # |h|^2 / |h|^2 = 1, i.e. 0 dB and not -0 dB.
-        taps_energy = _batch_dot(taps, taps)
-        if not np.all(taps_energy):
-            raise ValueError("true path has zero norm; misalignment is undefined")
-        for start in range(first, end, chunk):
-            K = min(start + chunk, end) - start
-            if rules:
-                memory[..., K : K + M - 1, :] = memory[..., : M - 1, :]
-            for k in range(K):
-                i = N - 1 - start - k
-                weights = history[k]
-                regressors = windows[i : i + M]
-                if batch:
-                    einsum("mtl,atl->mat", regressors, weights, out=errors)
-                else:
-                    matmul(regressors, weights, errors)
-                subtract(ys[i : i + M], errors, errors)
-                sign(errors, errors)
+    # An energy d @ d that overflows is handled by the step scale, so numpy
+    # need not warn about it.
+    with np.errstate(over="ignore"):
+        for taps, first, end in _phases(config):
+            # The kernel of the numerator, so that a zero estimate reads
+            # exactly |h|^2 / |h|^2 = 1, i.e. 0 dB and not -0 dB.
+            taps_energy = _batch_dot(taps, taps)
+            if not np.all(taps_energy):
+                raise ValueError("true path has zero norm; misalignment is undefined")
+            for start in range(first, end, chunk):
+                K = min(start + chunk, end) - start
+                newest = N - 1 - start
                 if rules:
-                    for a, fn, args in rules:
-                        fn(weights[a], *args)
-                    p = K - 1 - k
-                    multiply(gains, regressors[0], memory[..., p, :])
-                else:
-                    p = i
-                matmul(signs_rows, memory[..., p : p + M, :], direction_row)
+                    memory[..., K : K + M - 1, :] = memory[..., : M - 1, :]
                 if batch:
-                    matmul(direction_row, direction_col, energy)
-                    # The stepper's scale mu / sqrt(delta + e), unless some
-                    # energy e is 0, inf or below the smallest normal float;
-                    # NaN stays NaN either way.
-                    energies = energy_flat.tolist()
-                    if _TINY <= min(energies) and max(energies) < math.inf:
-                        add(energy_col, delta, scale)
-                        sqrt(scale, scale)
-                        divide(mu, scale, scale)
-                    else:
-                        _rescale_steps(direction, energies, mu, delta, scale)
-                    multiply(direction, scale, direction)
+                    for k in range(K):
+                        i = newest - k
+                        weights = history[k]
+                        regressors = windows[i : i + M]
+                        einsum("mtl,atl->mat", regressors, weights, out=errors)
+                        subtract(ys[i : i + M], errors, errors)
+                        sign(errors, errors)
+                        if rules:
+                            for a, fn, args in rules:
+                                fn(weights[a], *args)
+                            p = K - 1 - k
+                            multiply(gains, regressors[0], memory[..., p, :])
+                        else:
+                            p = i
+                        matmul(signs_rows, memory[..., p : p + M, :], direction_row)
+                        matmul(direction_row, direction_col, energy)
+                        # The stepper's scale mu / sqrt(delta + e), unless
+                        # some energy e is 0, inf or below the smallest
+                        # normal float; NaN stays NaN either way.
+                        energies = energy_flat.tolist()
+                        if tiny <= min(energies) and max(energies) < inf:
+                            add(energy_col, delta, scale)
+                            sqrt(scale, scale)
+                            divide(mu, scale, scale)
+                        else:
+                            _rescale_steps(direction, energies, mu, delta, scale)
+                        multiply(direction, scale, direction)
+                        add(weights, direction, history[k + 1])
                 else:
-                    # The same for one filter; the first branch is
-                    # _step_scale's common case, inlined.
-                    e = float(direction @ direction)
-                    if _TINY <= e < math.inf:
-                        step = mu / math.sqrt(delta + e)
-                    else:
-                        step, direction[:] = _step_scale(direction, e, mu, delta)
-                    multiply(direction, step, direction)
-                add(weights, direction, history[k + 1])
-            diffs = history[:K]
-            np.subtract(taps, diffs, diffs)
-            squared = _batch_dot(diffs, diffs).reshape(K, A, T)
-            _add_db(squared, taps_energy, total[start : start + K])
-            history[0] = history[K]
+                    # One filter: 1-D products, and a step size in Python
+                    # floats whose first branch is _step_scale's common case.
+                    for k in range(K):
+                        i = newest - k
+                        weights = weight_rows[k]
+                        regressors = windows[i : i + M]
+                        matmul(regressors, weights, errors)
+                        subtract(ys[i : i + M], errors, errors)
+                        sign(errors, errors)
+                        if rules:
+                            fn(weights, *args)
+                            p = K - 1 - k
+                            multiply(gains, regressors[0], memory[p])
+                            dot(errors, memory[p : p + M], direction)
+                        else:
+                            dot(errors, regressors, direction)
+                        e = float(dot(direction, direction))
+                        if tiny <= e < inf:
+                            step = mu / root(delta + e)
+                        else:
+                            step, direction[:] = _step_scale(direction, e, mu, delta)
+                        multiply(direction, step, direction)
+                        add(weights, direction, weight_rows[k + 1])
+                diffs = history[:K]
+                np.subtract(taps, diffs, diffs)
+                squared = _batch_dot(diffs, diffs).reshape(K, A, T)
+                _add_db(squared, taps_energy, total[start : start + K])
+                history[0] = history[K]
     return total, history[0].reshape(A, T, L).copy()
 
 

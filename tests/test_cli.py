@@ -247,7 +247,8 @@ def test_emit_csv_format(tmp_path):
 
 
 def test_emit_csv_rejects_empty_trace(tmp_path):
-    # Both emitters share the precondition, and neither leaves a file.
+    # Both emitters and the one-pass call share the precondition, and none
+    # leaves a file.
     for traces, iterations in (({}, 0), ({}, 5), ({"apsa": np.zeros(0)}, 0)):
         empty = MisalignmentTrace(traces=traces, iterations=iterations, trials=0)
         for emit in (emit_csv, emit_plot_data):
@@ -255,13 +256,31 @@ def test_emit_csv_rejects_empty_trace(tmp_path):
             with pytest.raises(ValueError, match="empty"):
                 emit(empty, path)
             assert not path.exists()
+        with pytest.raises(ValueError, match="empty"):
+            emit_csv(empty, tmp_path / "both.csv", tmp_path / "both.dat")
+        assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("emit", [emit_csv, emit_plot_data])
+def emit_plot_data_with_csv(trace, path):
+    """The one-pass call, with only its plot file unwritable in the test below."""
+    emit_csv(trace, path.parents[1] / "trace.csv", path)
+
+
+@pytest.mark.parametrize(
+    "emit",
+    [emit_csv, emit_plot_data, pytest.param(emit_plot_data_with_csv, id="emit_csv-one-pass")],
+)
 def test_emitters_name_the_path_on_write_failure(tmp_path, emit):
     path = tmp_path / "missing-dir" / "trace.out"
     with pytest.raises(OSError, match=r"cannot write .*missing-dir"):
         emit(make_trace(), path)
+
+
+def test_main_exits_5_when_only_the_plot_file_fails(tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / "trace.dat").mkdir(parents=True)
+    assert main(["--config", str(write_config(tmp_path, QUICK)), "--out", str(out)]) == 5
+    assert "cannot write " + str(out / "trace.dat") in capsys.readouterr().err
 
 
 def test_emit_csv_is_byte_deterministic(tmp_path):
@@ -309,8 +328,11 @@ def test_emitters_match_the_row_by_row_oracle(tmp_path, columns):
     trace = MisalignmentTrace(traces=columns, iterations=iterations, trials=1)
     emit_csv(trace, tmp_path / "trace.csv")
     emit_plot_data(trace, tmp_path / "trace.dat")
-    assert (tmp_path / "trace.csv").read_bytes() == row_by_row(trace, ",", "")
-    assert (tmp_path / "trace.dat").read_bytes() == row_by_row(trace, " ", "# ")
+    # The one-pass call writes both files from one formatting of each block.
+    emit_csv(trace, tmp_path / "both.csv", tmp_path / "both.dat")
+    for csv, dat in (("trace.csv", "trace.dat"), ("both.csv", "both.dat")):
+        assert (tmp_path / csv).read_bytes() == row_by_row(trace, ",", "")
+        assert (tmp_path / dat).read_bytes() == row_by_row(trace, " ", "# ")
 
 
 # ----------------------------------------------------------------------- main

@@ -143,8 +143,10 @@ def test_engine_matches_steppers_for_one_algorithm(algorithm, trials):
 
 
 @pytest.mark.parametrize("projection_order", [1, 3])
-def test_engine_batch_of_one_matches_for_projection_order(projection_order):
-    config = make_config(algorithms=("mip-apsa",), trials=1, projection_order=projection_order)
+@pytest.mark.parametrize("algorithm", ALL)
+def test_engine_batch_of_one_matches_for_projection_order(algorithm, projection_order):
+    # A batch of one runs the single-filter loop.
+    config = make_config(algorithms=(algorithm,), trials=1, projection_order=projection_order)
     assert_matches_reference(config)
 
 
@@ -358,6 +360,7 @@ def test_large_finite_samples_keep_weights_finite_and_steps_bounded(
                 before = weights
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e-162, 1e-160, 1e160, 1e300])
 def test_steps_keep_norm_mu_at_extreme_input_scales(monkeypatch, scale):
     # With no regularizer the normalized step is scale-free: every step has
@@ -365,7 +368,8 @@ def test_steps_keep_norm_mu_at_extreme_input_scales(monkeypatch, scale):
     # d @ d is subnormal, at 1e-162 it is 0 although d is not, and at 1e160
     # and 1e300 it overflows to inf.  The steppers are checked step by
     # step; the batched engine (3 algorithms x 1 trial) and the single
-    # filter against their final weights.
+    # filter against their final weights.  The overflow is handled, so it
+    # must not warn either.
     rng = np.random.default_rng(3)
     n = 6
     x = scale * rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.0, n)
@@ -377,18 +381,16 @@ def test_steps_keep_norm_mu_at_extreme_input_scales(monkeypatch, scale):
         state = FilterState.zeros(config.params)
         for i in range(n):
             before = state.weights.copy()
-            with np.errstate(over="ignore"):
-                STEPPERS[name](state, config.params, x[i], y[i])
+            STEPPERS[name](state, config.params, x[i], y[i])
             assert np.linalg.norm(state.weights - before) == pytest.approx(mu, rel=1e-12), (name, i)
         reference[name] = state.weights
     monkeypatch.setattr(harness, "_realization", lambda *args: (x, y))
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, weights = _run_batch(config, range(1))
-        singles = [
-            _run_batch(make_config(algorithms=(name,), trials=1, iterations=n, switch=None,
-                                   regularizer=0.0), range(1))[1][0, 0]
-            for name in ALL
-        ]
+    _, weights = _run_batch(config, range(1))
+    singles = [
+        _run_batch(make_config(algorithms=(name,), trials=1, iterations=n, switch=None,
+                               regularizer=0.0), range(1))[1][0, 0]
+        for name in ALL
+    ]
     for a, name in enumerate(ALL):
         assert relative_gap(weights[a, 0], reference[name]) <= 1e-12, name
         assert relative_gap(singles[a], reference[name]) <= 1e-12, name
