@@ -44,7 +44,8 @@ _EXIT_CODE_HELP = """\
 exit codes:
   0  success
   2  command-line usage error
-  3  config error (unknown key, bad value, or violated constraint)
+  3  config error (unknown key, bad value, violated constraint, a run that
+     diverges or one too large for memory)
   4  WAV format error (not mono 16-bit PCM)
   5  I/O error (missing or unreadable/unwritable file)
 """
@@ -379,6 +380,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         # Constraint violated at run time (e.g. WAV shorter than the run).
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print("config error: the run does not fit in memory; lower iterations or trials",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -1,10 +1,11 @@
 """Per-sample update rules for the affine projection sign algorithm family.
 
-Three steppers share one pipeline: APSA (uniform step sizes), MIP-APSA
-(per-tap proportionate step sizes with a memory of past gain-weighted
-regressors), and BS-MIP-APSA (per-block proportionate step sizes, same
-memory). All of them bound the weight change per step by the step size,
-which is what makes them robust to impulsive noise.
+Three steppers share one pipeline, a memory of past gain-weighted
+regressors, and differ only in the gains that :func:`gain_rule` gives:
+APSA (unit gains, so its memory holds the regressors), MIP-APSA (per-tap
+proportionate gains) and BS-MIP-APSA (per-block proportionate gains). All
+of them bound the weight change per step by the step size, which is what
+makes them robust to impulsive noise.
 """
 
 from __future__ import annotations
@@ -94,8 +95,9 @@ class FilterState:
 
     ``regressors`` column j is the input vector from j steps ago (newest
     first); ``memory`` column j is the gain-weighted input vector recorded j
-    steps ago; ``desired`` holds the matching desired samples.  Everything
-    starts at exactly zero.
+    steps ago, which for APSA's unit gains is the input vector itself;
+    ``desired`` holds the matching desired samples.  Everything starts at
+    exactly zero.
     """
 
     weights: np.ndarray
@@ -291,31 +293,32 @@ def _push_sample(state: FilterState, x_new: float, y_new: float) -> None:
     state.desired[0] = y_new
 
 
-def apsa_step(
-    state: FilterState, params: FilterParams, x_new: float, y_new: float
-) -> FilterState:
-    """Advance APSA by one sample (state is updated in place and returned).
-
-    The direction is the regressor matrix times the error signs, with no
-    proportionate weighting and no memory of past gains.
-    """
-    _push_sample(state, x_new, y_new)
-    direction = state.regressors @ sign_vector(error_vector(state))
-    state.weights = normalized_update(
-        state.weights, direction, params.step_size, params.update_regularizer
-    )
-    return state
-
-
 def _memory_sign_step(
-    state: FilterState, params: FilterParams, gains: np.ndarray
+    algorithm: str, state: FilterState, params: FilterParams, x_new: float, y_new: float
 ) -> FilterState:
+    # The one pipeline: gains from the weights before the update (1.0 for
+    # APSA), the newest gain-weighted regressor pushed into the memory, and
+    # a normalized step along the memory times the error signs.
+    _push_sample(state, x_new, y_new)
+    rule = gain_rule(algorithm, params)
+    gains = 1.0 if rule is None else rule[0](state.weights, *rule[1])
     state.memory = shift_memory(state.memory, gains * state.regressors[:, 0])
     direction = state.memory @ sign_vector(error_vector(state))
     state.weights = normalized_update(
         state.weights, direction, params.step_size, params.update_regularizer
     )
     return state
+
+
+def apsa_step(
+    state: FilterState, params: FilterParams, x_new: float, y_new: float
+) -> FilterState:
+    """Advance APSA by one sample (state is updated in place and returned).
+
+    The gains are all 1.0, so the memory holds the regressors themselves and
+    the direction is the regressor matrix times the error signs.
+    """
+    return _memory_sign_step("apsa", state, params, x_new, y_new)
 
 
 def mip_apsa_step(
@@ -326,9 +329,7 @@ def mip_apsa_step(
     Per-tap gains come from the weights before the update; only the newest
     gain-weighted regressor is computed, older ones are reused from memory.
     """
-    _push_sample(state, x_new, y_new)
-    gains = ip_gains(state.weights, params.proportionate_mix, params.gain_regularizer)
-    return _memory_sign_step(state, params, gains)
+    return _memory_sign_step("mip-apsa", state, params, x_new, y_new)
 
 
 def bs_mip_apsa_step(
@@ -342,24 +343,17 @@ def bs_mip_apsa_step(
     gain uniform, which cancels in the normalized update and recovers APSA
     exactly when both regularizers are zero.
     """
-    _push_sample(state, x_new, y_new)
-    gains = bs_gains(
-        state.weights,
-        params.block_length,
-        params.proportionate_mix,
-        params.gain_regularizer,
-        params.gain_variant,
-    )
-    return _memory_sign_step(state, params, gains)
+    return _memory_sign_step("bs-mip-apsa", state, params, x_new, y_new)
 
 
 def gain_rule(algorithm: str, params: FilterParams):
     """The gain rule of ``algorithm``: (function, arguments after the weights).
 
     None stands for APSA's unit gains; MIP-APSA's rule is per tap and
-    BS-MIP-APSA's per block.  These are the rules the steppers apply one
-    filter at a time; the batched engine calls them on a slab of filters,
-    as ``function(weights, *arguments, out=..., scratch=...)``.
+    BS-MIP-APSA's per block.  This is the one place that lists an
+    algorithm's gain arguments: the steppers apply the rule one filter at a
+    time, and the batched engine calls it on a slab of filters, as
+    ``function(weights, *arguments, out=..., scratch=...)``.
     """
     if algorithm == "apsa":
         return None

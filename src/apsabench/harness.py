@@ -257,15 +257,17 @@ def _run_batch(
 
     All A x T filters advance together, one Python iteration per sample.
     Each filter follows its per-sample stepper in ``filters.STEPPERS``; only
-    the summation order of the dot products may differ.  The algorithms
-    differ only in their gains: one (A, T, L) slab holds them, all ones for
-    APSA, and the newest row of the memory of gain-weighted regressors is
-    that slab times the newest regressors.  A run of APSA alone takes its
-    direction from the regressors and keeps no memory.  A single filter has
-    its own loop without the batch axes: 1-D and 2-D arrays, ``np.dot`` for
-    the direction and its energy (the same bits as ``np.matmul`` for these
-    two products, but cheaper to call), a step size in Python floats, and
-    the weights read from row views of the history made once per run.
+    the summation order of the dot products may differ.  The run's shape
+    picks one of two loops.  One APSA filter over one trial runs without
+    batch axes and without gains or memory: 1-D and 2-D arrays, its
+    direction from the regressors, ``np.dot`` for the direction and its
+    energy (the same bits as ``np.matmul`` for these two products, but
+    cheaper to call), a step size in Python floats, and the weights read
+    from row views of the history made once per run.  Every other run
+    takes the batched loop, where the algorithms differ only in their
+    gains: one (A, T, L) slab holds them, all ones for APSA, and the newest
+    row of the memory of gain-weighted regressors is that slab times the
+    newest regressors.
     """
     params = config.params
     L, M, N = params.filter_length, params.projection_order, config.iterations
@@ -285,54 +287,48 @@ def _run_batch(
     # j samples ago (newest tap first) and ys[i + j] its desired sample.
     # Time runs along the first axis, so one plain slice serves every trial.
     windows = sliding_window_view(xs, L, axis=1).transpose(1, 0, 2)
-    batch = (A, T) if A * T > 1 else ()
+    single = config.algorithms == ("apsa",) and T == 1
     # The history holds the weights entering each iteration of a chunk: the
     # step of row k writes row k + 1.  At most _CHUNK rows and
     # _HISTORY_BYTES, plus the row that carries into the next chunk.
     chunk = max(1, min(_CHUNK, _HISTORY_BYTES // (A * T * L * 8)))
     rows = min(N, chunk)
-    history = np.zeros((rows + 1,) + batch + (L,))
-    rules = [(a, gain_rule(name, params)) for a, name in enumerate(config.algorithms)]
-    rules = [((a,) if batch else (), rule) for a, rule in rules if rule is not None]
-    if rules:
-        # Gain-weighted regressors, newest first like xs: iteration k of a
-        # chunk of K writes row p = K - 1 - k and reads rows p to p + M - 1,
-        # and each chunk starts by carrying the newest M - 1 rows behind its
-        # own.  The gain slab's APSA rows stay 1.0, and 1.0 * x is x.
-        memory = np.zeros(batch + (rows + M - 1, L))
-        gains = np.ones(batch + (L,))
-        scratch = (np.empty(batch[1:] + (1,)), np.empty(batch[1:] + (1,)))
-        # Each rule writes its algorithm's row of the slab.
-        rules = [(a, fn, (*args, gains[a], scratch)) for a, (fn, args) in rules]
-    else:
-        # APSA alone has A = 1 and takes its direction from the regressors;
-        # the single filter takes it from the regressor slice it holds.
-        memory = windows.transpose(1, 0, 2)[None]
-    if batch:
-        ys = ys.T[:, None, :]
-        errors = np.empty((M,) + batch)
-        direction = np.empty(batch + (L,))
-        # Signs times memory rows, and the energies d @ d by _batch_dot's
-        # kernel, as (A, T) stacks of matrix products.
-        signs_rows = errors.transpose(1, 2, 0)[..., None, :]
-        direction_row, direction_col = direction[..., None, :], direction[..., None]
-        energy = np.empty(batch + (1, 1))
-        energy_col, energy_flat = energy[..., 0], energy.reshape(-1)
-        scale = np.empty(batch + (1,))
-    else:
+    history = np.zeros((rows + 1, L) if single else (rows + 1, A, T, L))
+    if single:
         windows, ys = windows[:, 0], ys[0]
         errors, direction = np.empty(M), np.empty(L)
         # The single filter reads its weights from views made once, not by
         # indexing the history per step.
         weight_rows = list(history)
-        fn, args = rules[0][1:] if rules else (None, ())
+    else:
+        # Gain-weighted regressors, newest first like xs: iteration k of a
+        # chunk of K writes row p = K - 1 - k and reads rows p to p + M - 1,
+        # and each chunk starts by carrying the newest M - 1 rows behind its
+        # own.  The gain slab's APSA rows stay 1.0, and 1.0 * x is x.
+        memory = np.zeros((A, T, rows + M - 1, L))
+        gains = np.ones((A, T, L))
+        scratch = (np.empty((T, 1)), np.empty((T, 1)))
+        # Each rule writes its algorithm's row of the slab.
+        rules = [(a, gain_rule(name, params)) for a, name in enumerate(config.algorithms)]
+        rules = [(a, rule[0], (*rule[1], gains[a], scratch)) for a, rule in rules if rule]
+        ys = ys.T[:, None, :]
+        errors = np.empty((M, A, T))
+        direction = np.empty((A, T, L))
+        # Signs times memory rows, and the energies d @ d by _batch_dot's
+        # kernel, as (A, T) stacks of matrix products.
+        signs_rows = errors.transpose(1, 2, 0)[..., None, :]
+        direction_row, direction_col = direction[..., None, :], direction[..., None]
+        energy = np.empty((A, T, 1, 1))
+        energy_col, energy_flat = energy[..., 0], energy.reshape(-1)
+        scale = np.empty((A, T, 1))
     mu, delta = params.step_size, params.update_regularizer
     tiny, inf, root = float(_TINY), math.inf, math.sqrt
 
     total = np.zeros((N, A))
-    # An energy d @ d that overflows is handled by the step scale, so numpy
-    # need not warn about it.
-    with np.errstate(over="ignore"):
+    # An energy d @ d that overflows is handled by the step scale, and a
+    # weight that has overflowed gives NaN gains: the run's finite check
+    # reports that divergence, so numpy need not warn about either.
+    with np.errstate(over="ignore", invalid="ignore"):
         for taps, first, end in _phases(config):
             # The kernel of the numerator, so that a zero estimate reads
             # exactly |h|^2 / |h|^2 = 1, i.e. 0 dB and not -0 dB.
@@ -342,9 +338,27 @@ def _run_batch(
             for start in range(first, end, chunk):
                 K = min(start + chunk, end) - start
                 newest = N - 1 - start
-                if rules:
+                if single:
+                    # One APSA filter: 1-D products, and a step size in
+                    # Python floats whose first branch is _step_scale's
+                    # common case.
+                    for k in range(K):
+                        i = newest - k
+                        weights = weight_rows[k]
+                        regressors = windows[i : i + M]
+                        matmul(regressors, weights, errors)
+                        subtract(ys[i : i + M], errors, errors)
+                        sign(errors, errors)
+                        dot(errors, regressors, direction)
+                        e = float(dot(direction, direction))
+                        if tiny <= e < inf:
+                            step = mu / root(delta + e)
+                        else:
+                            step, direction[:] = _step_scale(direction, e, mu, delta)
+                        multiply(direction, step, direction)
+                        add(weights, direction, weight_rows[k + 1])
+                else:
                     memory[..., K : K + M - 1, :] = memory[..., : M - 1, :]
-                if batch:
                     for k in range(K):
                         i = newest - k
                         weights = history[k]
@@ -352,13 +366,10 @@ def _run_batch(
                         einsum("mtl,atl->mat", regressors, weights, out=errors)
                         subtract(ys[i : i + M], errors, errors)
                         sign(errors, errors)
-                        if rules:
-                            for a, fn, args in rules:
-                                fn(weights[a], *args)
-                            p = K - 1 - k
-                            multiply(gains, regressors[0], memory[..., p, :])
-                        else:
-                            p = i
+                        for a, fn, args in rules:
+                            fn(weights[a], *args)
+                        p = K - 1 - k
+                        multiply(gains, regressors[0], memory[..., p, :])
                         matmul(signs_rows, memory[..., p : p + M, :], direction_row)
                         matmul(direction_row, direction_col, energy)
                         # The stepper's scale mu / sqrt(delta + e), unless
@@ -373,30 +384,6 @@ def _run_batch(
                             _rescale_steps(direction, energies, mu, delta, scale)
                         multiply(direction, scale, direction)
                         add(weights, direction, history[k + 1])
-                else:
-                    # One filter: 1-D products, and a step size in Python
-                    # floats whose first branch is _step_scale's common case.
-                    for k in range(K):
-                        i = newest - k
-                        weights = weight_rows[k]
-                        regressors = windows[i : i + M]
-                        matmul(regressors, weights, errors)
-                        subtract(ys[i : i + M], errors, errors)
-                        sign(errors, errors)
-                        if rules:
-                            fn(weights, *args)
-                            p = K - 1 - k
-                            multiply(gains, regressors[0], memory[p])
-                            dot(errors, memory[p : p + M], direction)
-                        else:
-                            dot(errors, regressors, direction)
-                        e = float(dot(direction, direction))
-                        if tiny <= e < inf:
-                            step = mu / root(delta + e)
-                        else:
-                            step, direction[:] = _step_scale(direction, e, mu, delta)
-                        multiply(direction, step, direction)
-                        add(weights, direction, weight_rows[k + 1])
                 diffs = history[:K]
                 np.subtract(taps, diffs, diffs)
                 squared = _batch_dot(diffs, diffs).reshape(K, A, T)

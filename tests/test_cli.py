@@ -391,13 +391,30 @@ def test_main_out_of_range_ratio_exit_code(tmp_path, capsys, key, value):
     assert not (out / "trace.csv").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_main_diverging_run_exit_code(tmp_path, capsys):
     # A huge step size sends the weights past double precision: the run
-    # must fail instead of writing inf and nan rows.
+    # must fail instead of writing inf and nan rows, and the NaN gains on
+    # the way there must not warn, so that the exit code, not a numpy
+    # warning turned into an error, reports the divergence.
     config = write_config(tmp_path, QUICK.replace("mu = 0.02", "mu = 1e300"))
     out = tmp_path / "o"
     assert main(["--config", str(config), "--out", str(out)]) == 3
     assert "not finite" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
+def test_main_run_too_large_for_memory_exit_code(tmp_path, capsys):
+    # Petabytes of input records: numpy fails to allocate them at once,
+    # and the run must exit 3 naming the keys to lower, not with a
+    # traceback.
+    config = write_config(
+        tmp_path, QUICK.replace("iterations = 120", "iterations = 1000000000000000")
+    )
+    out = tmp_path / "o"
+    assert main(["--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "iterations" in err and "trials" in err and "memory" in err
     assert not (out / "trace.csv").exists()
 
 

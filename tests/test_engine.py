@@ -10,6 +10,8 @@ trial sums, so per-trial traces are checked through ``run_trial`` and the
 batch over trials through the ensemble mean.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,14 +140,16 @@ def test_engine_matches_steppers_across_switches(switch):
 @pytest.mark.parametrize("trials", [1, 3])
 @pytest.mark.parametrize("algorithm", ALL)
 def test_engine_matches_steppers_for_one_algorithm(algorithm, trials):
-    # trials=1 is a batch of one: the loop runs without batch axes.
+    # trials=1 is one filter: APSA runs the single-filter loop, MIP-APSA and
+    # BS-MIP-APSA a batch of shape (1, 1).
     assert_matches_reference(make_config(algorithms=(algorithm,), trials=trials))
 
 
 @pytest.mark.parametrize("projection_order", [1, 3])
 @pytest.mark.parametrize("algorithm", ALL)
 def test_engine_batch_of_one_matches_for_projection_order(algorithm, projection_order):
-    # A batch of one runs the single-filter loop.
+    # One APSA filter runs the single-filter loop; the others a batch of
+    # shape (1, 1).
     config = make_config(algorithms=(algorithm,), trials=1, projection_order=projection_order)
     assert_matches_reference(config)
 
@@ -192,19 +196,23 @@ def test_add_db_adds_trials_one_after_another(trials):
 
 @pytest.mark.parametrize("projection_order", [1, 2, 3])
 def test_a_column_does_not_depend_on_the_other_algorithms(projection_order):
-    # Each algorithm owns one row of the gain slab and of the memory: a run
-    # of any subset with a gain rule gives bitwise the columns and weights
-    # of the full run.  APSA alone keeps no memory and is not compared.
-    config = make_config(trials=2, projection_order=projection_order)
-    full_total, full_weights = _run_batch(config, range(2))
-    subsets = [("mip-apsa",), ("bs-mip-apsa",), ("apsa", "mip-apsa"),
-               ("apsa", "bs-mip-apsa"), ("mip-apsa", "bs-mip-apsa")]
-    for subset in subsets:
-        total, weights = _run_batch(make_config(algorithms=subset, trials=2,
-                                                projection_order=projection_order), range(2))
-        for a, name in enumerate(subset):
-            assert np.array_equal(total[:, a], full_total[:, ALL.index(name)]), (subset, name)
-            assert np.array_equal(weights[a], full_weights[ALL.index(name)]), (subset, name)
+    # Each algorithm owns one row of the gain slab and of the memory, APSA's
+    # rows holding unit gains: a run of any subset in the batched loop gives
+    # bitwise the columns and weights of the full run.  Over one trial, APSA
+    # alone runs the single-filter loop instead and is not compared.
+    subsets = [s for r in (1, 2) for s in itertools.combinations(ALL, r)]
+    for trials in (2, 1):
+        config = make_config(trials=trials, projection_order=projection_order)
+        full_total, full_weights = _run_batch(config, range(trials))
+        for subset in subsets:
+            if trials == 1 and subset == ("apsa",):
+                continue
+            sub = make_config(algorithms=subset, trials=trials, projection_order=projection_order)
+            total, weights = _run_batch(sub, range(trials))
+            for a, name in enumerate(subset):
+                column = ALL.index(name)
+                assert np.array_equal(total[:, a], full_total[:, column]), (subset, trials)
+                assert np.array_equal(weights[a], full_weights[column]), (subset, trials)
 
 
 def test_ensemble_is_the_trial_order_mean_of_trials():
@@ -244,9 +252,10 @@ def test_nan_desired_sample_poisons_like_the_stepper(monkeypatch, trials):
 
 @pytest.mark.parametrize("trials", [1, 3])
 def test_apsa_alone_matches_steppers_at_projection_order_3(trials):
-    # APSA alone takes its direction from the regressors and keeps no
-    # memory, so it sums the direction in another order than the ring
-    # buffer; trials=1 is the single filter.
+    # Over several trials APSA alone runs the batched loop, whose memory
+    # rows are the regressors times unit gains.  Over one trial it runs the
+    # single-filter loop, which takes its direction from the regressor
+    # window and sums it in another order than the memory.
     assert_matches_reference(make_config(algorithms=("apsa",), trials=trials, projection_order=3))
 
 

@@ -430,11 +430,12 @@ def test_huge_desired_impulse_cannot_move_weights_beyond_step_size(step):
 
 @pytest.mark.parametrize(
     "step,uses_block_gains",
-    [(mip_apsa_step, False), (bs_mip_apsa_step, True)],
+    [(mip_apsa_step, False), (bs_mip_apsa_step, True), (apsa_step, None)],
 )
 def test_memory_matches_bruteforce_reconstruction(step, uses_block_gains):
     # Oracle: after each step, memory column j must equal the gain-weighted
     # regressor recomputed from the logged inputs and pre-update weights.
+    # None stands for APSA's unit gains, whose memory holds the regressors.
     rng = np.random.default_rng(13)
     L, M, n = 6, 3, 100
     p = FilterParams(filter_length=L, projection_order=M, block_length=2, step_size=0.05)
@@ -443,7 +444,9 @@ def test_memory_matches_bruteforce_reconstruction(step, uses_block_gains):
     gain_log: list[np.ndarray] = []
     for _ in range(n):
         xn = rng.standard_normal()
-        if uses_block_gains:
+        if uses_block_gains is None:
+            g = np.ones(L)
+        elif uses_block_gains:
             g = bs_gains(s.weights, p.block_length, p.proportionate_mix,
                          p.gain_regularizer, p.gain_variant)
         else:
