@@ -173,34 +173,27 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> ExperimentCon
         raise ConfigError(f"{path}: unknown key(s): {unknown}")
 
     top = fields[""]
-    switch_iteration = fields["schedule"]["switch_iteration"]
-    switched_clusters = fields["schedule.switched"]["clusters"]
-    if (switch_iteration is None) != (switched_clusters is None):
-        raise ConfigError(
-            f"{path}: switch_iteration and switched_clusters must both be set or both 'none'"
-        )
-
     wav_path = top["wav_path"]
     if wav_path is not None and not Path(wav_path).is_absolute():
         top["wav_path"] = str((Path(path).parent / wav_path).resolve())
 
-    def draw_path(clusters, stream_id: int, label: str):
+    def draw_path(clusters, stream_id: int):
         return make_block_sparse(
             fields["params"]["filter_length"],
             clusters,
             SeededStream(top["base_seed"], stream_id),
             normalize=top["normalize_path"],
-            label=label,
         )
 
     try:
         params = FilterParams(**fields["params"])
-        initial = draw_path(fields["schedule.initial"]["clusters"], PATH_STREAM, "initial")
+        initial = draw_path(fields["schedule.initial"]["clusters"], PATH_STREAM)
+        switched_clusters = fields["schedule.switched"]["clusters"]
         switched = None
         if switched_clusters is not None:
-            switched = draw_path(switched_clusters, PATH_STREAM + 4, "switched")
+            switched = draw_path(switched_clusters, PATH_STREAM + 4)
         schedule = PathSchedule(
-            initial=initial, switched=switched, switch_iteration=switch_iteration
+            initial, switched, switch_iteration=fields["schedule"]["switch_iteration"]
         )
         noise = NoiseModel(**fields["noise"])
         return ExperimentConfig(params=params, schedule=schedule, noise=noise, **top)

@@ -44,7 +44,6 @@ class EchoPath:
 
     taps: np.ndarray
     clusters: tuple[Cluster, ...]
-    label: str = ""
 
     def __post_init__(self) -> None:
         _check_clusters(self.taps.shape[0], self.clusters)
@@ -59,11 +58,7 @@ class EchoPath:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EchoPath):
             return NotImplemented
-        return (
-            self.clusters == other.clusters
-            and self.label == other.label
-            and np.array_equal(self.taps, other.taps)
-        )
+        return self.clusters == other.clusters and np.array_equal(self.taps, other.taps)
 
     @property
     def length(self) -> int:
@@ -72,7 +67,8 @@ class EchoPath:
 
 @dataclass(frozen=True)
 class PathSchedule:
-    """An initial path, an optional replacement, and when to swap them."""
+    """An initial path, an optional replacement, and the iteration (>= 0)
+    from which the replacement is active."""
 
     initial: EchoPath
     switched: EchoPath | None = None
@@ -81,6 +77,10 @@ class PathSchedule:
     def __post_init__(self) -> None:
         if (self.switched is None) != (self.switch_iteration is None):
             raise ValueError("switched path and switch_iteration must be set together")
+        if self.switch_iteration is not None and self.switch_iteration < 0:
+            raise ValueError(
+                f"switch_iteration must be >= 0 or none, got {self.switch_iteration}"
+            )
         if self.switched is not None and self.switched.length != self.initial.length:
             raise ValueError("both paths in a schedule must share the same length")
 
@@ -90,7 +90,6 @@ def make_block_sparse(
     clusters: list[Cluster] | tuple[Cluster, ...],
     stream: SeededStream,
     normalize: bool = True,
-    label: str = "",
 ) -> EchoPath:
     """Draw a block-sparse path: Gaussian taps inside clusters, zeros outside.
 
@@ -107,7 +106,7 @@ def make_block_sparse(
         if norm == 0.0:
             raise ValueError("drawn taps are all zero; cannot normalize")
         taps /= norm
-    return EchoPath(taps=taps, clusters=clusters, label=label)
+    return EchoPath(taps=taps, clusters=clusters)
 
 
 def path_at(schedule: PathSchedule, iteration: int) -> EchoPath:
@@ -117,3 +116,15 @@ def path_at(schedule: PathSchedule, iteration: int) -> EchoPath:
     if schedule.switch_iteration is not None and iteration >= schedule.switch_iteration:
         return schedule.switched
     return schedule.initial
+
+
+def phases(schedule: PathSchedule, n: int) -> list[tuple[np.ndarray, int, int]]:
+    """(active taps, first iteration, end) of each nonempty stretch of
+    iterations [0, n), in order.  The engine and the echo synthesis both
+    take the switch from here."""
+    k = schedule.switch_iteration
+    if k is None or k >= n:
+        stretches = [(schedule.initial.taps, 0, n)]
+    else:
+        stretches = [(schedule.initial.taps, 0, k), (schedule.switched.taps, k, n)]
+    return [stretch for stretch in stretches if stretch[1] < stretch[2]]

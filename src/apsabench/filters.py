@@ -84,10 +84,6 @@ class FilterParams:
         if self.update_regularizer < 0:
             raise ValueError(f"update_regularizer must be >= 0, got {self.update_regularizer}")
 
-    @property
-    def n_blocks(self) -> int:
-        return self.filter_length // self.block_length
-
 
 @dataclass
 class FilterState:
@@ -127,21 +123,14 @@ def _block_gains(
     gain_regularizer: float,
     variant: GainVariant,
     out: np.ndarray | None = None,
-    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Gains of ``(..., L)`` weights, written into ``out`` (C-contiguous).
-
-    ``scratch`` is a pair of arrays of shape ``weights.shape[:-1] + (1,)``
-    for the sums of the block norms and the denominators.  Either buffer is
-    allocated when not given; the gains are the same bit for bit, since each
-    step is the same ufunc call either way.
-    """
+    """Gains of ``(..., L)`` weights, written into ``out`` (C-contiguous),
+    which is allocated when not given."""
     L = weights.shape[-1]
     n_blocks = L // block_length
     lead = weights.shape[:-1]
     if out is None:
         out = np.empty(weights.shape)
-    total, denom = scratch or (np.empty(lead + (1,)), np.empty(lead + (1,)))
     if block_length == 1:
         # A length-1 block norm is |h| exactly; sqrt(h*h) would be a detour.
         norms = np.abs(weights, out)
@@ -149,13 +138,13 @@ def _block_gains(
         blocks = weights.reshape(lead + (n_blocks, block_length))
         norms = np.einsum("...ij,...ij->...i", blocks, blocks)
         np.sqrt(norms, norms)
-    np.add.reduce(norms, -1, None, total, True)
+    denom = np.add.reduce(norms, -1, keepdims=True)
     if variant is GainVariant.BLOCK_BALANCED:
         floor = (1.0 - proportionate_mix) / (2.0 * n_blocks)
     else:
         floor = (1.0 - proportionate_mix) / (2.0 * L)
     scale = 2.0 * n_blocks if variant is GainVariant.AS_PRINTED else 2.0
-    np.multiply(total, scale, denom)
+    np.multiply(denom, scale, denom)
     np.add(denom, gain_regularizer, denom)
     zero = None
     if gain_regularizer == 0.0 and not denom.all():
@@ -181,7 +170,6 @@ def ip_gains(
     proportionate_mix: float,
     gain_regularizer: float,
     out: np.ndarray | None = None,
-    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Per-tap proportionate gains.
 
@@ -190,11 +178,10 @@ def ip_gains(
     With a positive regularizer every gain is strictly positive, and with a
     zero regularizer the gains sum to exactly 1.  ``weights`` may carry
     leading batch axes, shape ``(..., L)``; each row gets its own gains.
-    ``out`` and ``scratch`` are optional buffers (see :func:`_block_gains`).
+    ``out`` is an optional buffer for the gains.
     """
     return _block_gains(
-        weights, 1, proportionate_mix, gain_regularizer, GainVariant.MIP_CONSISTENT,
-        out, scratch,
+        weights, 1, proportionate_mix, gain_regularizer, GainVariant.MIP_CONSISTENT, out
     )
 
 
@@ -205,14 +192,13 @@ def bs_gains(
     gain_regularizer: float,
     variant: GainVariant = GainVariant.MIP_CONSISTENT,
     out: np.ndarray | None = None,
-    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Per-block proportionate gains, constant within each block.
 
     The share of block k is proportional to its Euclidean norm.  With
     ``block_length == 1`` and the MIP_CONSISTENT variant this is exactly
     :func:`ip_gains`.  Like :func:`ip_gains`, it takes ``(..., L)`` weights
-    and optional buffers.
+    and an optional ``out``.
     """
     L = weights.shape[-1]
     if block_length < 1 or L % block_length != 0:
@@ -220,7 +206,7 @@ def bs_gains(
             f"weight length ({L}) must be divisible by block_length ({block_length})"
         )
     return _block_gains(
-        weights, block_length, proportionate_mix, gain_regularizer, variant, out, scratch
+        weights, block_length, proportionate_mix, gain_regularizer, variant, out
     )
 
 
@@ -353,7 +339,7 @@ def gain_rule(algorithm: str, params: FilterParams):
     BS-MIP-APSA's per block.  This is the one place that lists an
     algorithm's gain arguments: the steppers apply the rule one filter at a
     time, and the batched engine calls it on a slab of filters, as
-    ``function(weights, *arguments, out=..., scratch=...)``.
+    ``function(weights, *arguments, out)``.
     """
     if algorithm == "apsa":
         return None

@@ -20,7 +20,7 @@ from numpy import add, divide, dot, einsum, matmul, multiply, sign, sqrt, subtra
 from numpy.lib.stride_tricks import sliding_window_view
 
 from apsabench.audio import load_wav
-from apsabench.echo_path import PathSchedule
+from apsabench.echo_path import PathSchedule, phases
 from apsabench.filters import _TINY, STEPPERS, FilterParams, _step_scale, gain_rule
 from apsabench.signals import (
     NoiseModel,
@@ -91,6 +91,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown input kind '{self.input_kind}'; choose from {INPUT_KINDS}"
             )
+        if self.input_kind == "ar1" and not -1.0 < self.pole < 1.0:
+            raise ValueError(f"pole must satisfy |pole| < 1 for input 'ar1', got {self.pole}")
         if self.input_kind == "wav" and not self.wav_path:
             raise ValueError("input kind 'wav' requires wav_path")
         if self.schedule.initial.length != self.params.filter_length:
@@ -162,40 +164,31 @@ def _clean_echo(x: np.ndarray, schedule: PathSchedule) -> np.ndarray:
     at every record length.
     """
     n = x.shape[0]
-    clean = np.convolve(schedule.initial.taps, x)[:n]
-    k = schedule.switch_iteration
-    if k is not None and k < n:
-        k = max(k, 0)
-        clean[k:] = np.convolve(schedule.switched.taps, x)[k:n]
+    clean = np.empty(n)
+    for taps, first, end in phases(schedule, n):
+        clean[first:end] = np.convolve(taps, x)[first:end]
     return clean
 
 
 def _noise_record(
     clean: np.ndarray, noise: NoiseModel, base_seed: int, trial_index: int
 ) -> np.ndarray:
-    # Components with zero empirical power are added as-is (zeros), and a
-    # zero-power clean record (possible in runs shorter than the bulk delay)
-    # leaves the raw sigmas uncalibrated: both make the target ratio undefined.
+    # Each component is drawn at unit scale.  One with zero empirical power
+    # is added as-is (zeros), and a zero-power clean record (possible in runs
+    # shorter than the bulk delay) leaves them unscaled: both make the target
+    # ratio undefined.
     n = clean.shape[0]
     clean_power = signal_power(clean)
-    v = np.zeros(n)
-    background = white_gaussian(
-        n, noise.background_sigma, trial_stream(base_seed, trial_index, _BACKGROUND_ROLE)
-    )
-    if signal_power(background) > 0.0:
-        if noise.snr_db is not None and clean_power > 0.0:
-            background = scale_to_ratio(clean, background, noise.snr_db)
-        v += background
+    background = white_gaussian(n, 1.0, trial_stream(base_seed, trial_index, _BACKGROUND_ROLE))
     impulses = bernoulli_gaussian(
-        n,
-        noise.impulse_probability,
-        noise.impulse_sigma,
-        trial_stream(base_seed, trial_index, _IMPULSE_ROLE),
+        n, noise.impulse_probability, 1.0, trial_stream(base_seed, trial_index, _IMPULSE_ROLE)
     )
-    if signal_power(impulses) > 0.0:
-        if noise.sir_db is not None and clean_power > 0.0:
-            impulses = scale_to_ratio(clean, impulses, noise.sir_db)
-        v += impulses
+    v = np.zeros(n)
+    for component, target_db in ((background, noise.snr_db), (impulses, noise.sir_db)):
+        if signal_power(component) > 0.0:
+            if target_db is not None and clean_power > 0.0:
+                component = scale_to_ratio(clean, component, target_db)
+            v += component
     return v
 
 
@@ -216,17 +209,6 @@ def _realization(
         if not np.all(np.isfinite(signal)):
             raise ValueError(f"trial {trial_index}: the {name} has non-finite samples")
     return x, y
-
-
-def _phases(config: ExperimentConfig) -> list[tuple[np.ndarray, int, int]]:
-    """(active taps, first iteration, end) for each nonempty stretch of the run."""
-    schedule, n = config.schedule, config.iterations
-    k = schedule.switch_iteration
-    if k is None:
-        return [(schedule.initial.taps, 0, n)]
-    k = min(max(k, 0), n)
-    phases = [(schedule.initial.taps, 0, k), (schedule.switched.taps, k, n)]
-    return [phase for phase in phases if phase[1] < phase[2]]
 
 
 def _batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -307,10 +289,9 @@ def _run_batch(
         # own.  The gain slab's APSA rows stay 1.0, and 1.0 * x is x.
         memory = np.zeros((A, T, rows + M - 1, L))
         gains = np.ones((A, T, L))
-        scratch = (np.empty((T, 1)), np.empty((T, 1)))
         # Each rule writes its algorithm's row of the slab.
         rules = [(a, gain_rule(name, params)) for a, name in enumerate(config.algorithms)]
-        rules = [(a, rule[0], (*rule[1], gains[a], scratch)) for a, rule in rules if rule]
+        rules = [(a, rule[0], (*rule[1], gains[a])) for a, rule in rules if rule]
         ys = ys.T[:, None, :]
         errors = np.empty((M, A, T))
         direction = np.empty((A, T, L))
@@ -329,7 +310,7 @@ def _run_batch(
     # weight that has overflowed gives NaN gains: the run's finite check
     # reports that divergence, so numpy need not warn about either.
     with np.errstate(over="ignore", invalid="ignore"):
-        for taps, first, end in _phases(config):
+        for taps, first, end in phases(config.schedule, N):
             # The kernel of the numerator, so that a zero estimate reads
             # exactly |h|^2 / |h|^2 = 1, i.e. 0 dB and not -0 dB.
             taps_energy = _batch_dot(taps, taps)

@@ -24,6 +24,11 @@ class SeededStream:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("seed", "stream_id"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
     def generator(self) -> np.random.Generator:
         return np.random.default_rng([self.seed, self.stream_id])
 
@@ -32,29 +37,25 @@ class SeededStream:
 class NoiseModel:
     """Background Gaussian plus Bernoulli-Gaussian impulses.
 
-    The sigmas are raw generator scales; when an SNR/SIR target (dB) is set
-    the harness rescales each component against the clean echo signal with
+    Both components are drawn at unit scale; when an SNR/SIR target (dB) is
+    set the harness rescales each one against the clean echo signal with
     :func:`scale_to_ratio`, making the realized ratio exact per run.  A target
-    of None keeps the raw scale.  Targets and sigmas must be finite.
+    of None keeps the unit scale.  Targets must be finite.
     """
 
     snr_db: float | None = 40.0
     sir_db: float | None = 0.0
     impulse_probability: float = 0.1
-    background_sigma: float = 1.0
-    impulse_sigma: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.impulse_probability <= 1.0:
             raise ValueError(
                 f"impulse_probability must lie in [0, 1], got {self.impulse_probability}"
             )
-        for name in ("snr_db", "sir_db", "background_sigma", "impulse_sigma"):
+        for name in ("snr_db", "sir_db"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.background_sigma < 0 or self.impulse_sigma < 0:
-            raise ValueError("noise sigmas must be >= 0")
 
 
 def white_gaussian(count: int, sigma: float, stream: SeededStream) -> np.ndarray:
@@ -136,12 +137,7 @@ def scale_to_ratio(
     return noise * factor
 
 
-def speech_like(
-    count: int,
-    stream: SeededStream,
-    syllable_samples: int = 400,
-    floor: float = 0.05,
-) -> np.ndarray:
+def speech_like(count: int, stream: SeededStream) -> np.ndarray:
     """Amplitude-modulated Gaussian noise with a syllabic-rate envelope.
 
     Not speech, but nonstationary in the way speech is; used to exercise the
@@ -153,8 +149,10 @@ def speech_like(
         return np.zeros(0)
     rng = stream.generator()
     carrier = rng.standard_normal(count)
-    n_knots = max(2, count // syllable_samples + 2)
-    knots = floor + (1.0 - floor) * rng.random(n_knots)
+    # One envelope knot per 400 samples (a syllabic rate at 8 kHz), each
+    # drawn in [0.05, 1).
+    n_knots = count // 400 + 2
+    knots = 0.05 + 0.95 * rng.random(n_knots)
     envelope = np.interp(
         np.arange(count), np.linspace(0, count - 1, n_knots), knots
     )

@@ -223,8 +223,8 @@ def _tracking_benchmark_config(gain_variant, algorithms=("apsa", "mip-apsa", "bs
         gain_variant=gain_variant,
     )
     schedule = PathSchedule(
-        initial=make_block_sparse(L, [(24, 32)], SeededStream(601, PATH_STREAM), label="one-cluster"),
-        switched=make_block_sparse(L, [(16, 16), (88, 16)], SeededStream(601, PATH_STREAM + 4), label="two-cluster"),
+        initial=make_block_sparse(L, [(24, 32)], SeededStream(601, PATH_STREAM)),
+        switched=make_block_sparse(L, [(16, 16), (88, 16)], SeededStream(601, PATH_STREAM + 4)),
         switch_iteration=20_000,
     )
     return ExperimentConfig(

@@ -391,6 +391,38 @@ def test_main_out_of_range_ratio_exit_code(tmp_path, capsys, key, value):
     assert not (out / "trace.csv").exists()
 
 
+# Each case: keys set over QUICK's, extra flags, and the message.  The
+# file's path and the message must both be on stderr, and no output
+# directory may be made.
+@pytest.mark.parametrize(
+    "changes, flags, message",
+    [
+        ({"seed": "-1"}, [], "seed must be >= 0, got -1"),
+        ({}, ["--seed", "-2"], "seed must be >= 0, got -2"),
+        ({"switch_iteration": "-5"}, [], "switch_iteration must be >= 0 or none"),
+        ({"input": "ar1", "pole": "1"}, [], "pole must satisfy |pole| < 1"),
+        ({"input": "ar1", "pole": "-1"}, [], "pole must satisfy |pole| < 1"),
+    ],
+    ids=["seed", "seed-flag", "switch-iteration", "pole-1", "pole-minus-1"],
+)
+def test_main_rejects_out_of_range_values_before_making_the_output(
+    tmp_path, capsys, changes, flags, message
+):
+    values = dict(line.split(" = ") for line in QUICK.strip().splitlines())
+    values.update(changes)
+    config = write_config(tmp_path, "".join(f"{k} = {v}\n" for k, v in values.items()))
+    out = tmp_path / "o"
+    assert main(["--config", str(config), "--out", str(out), *flags]) == 3
+    err = capsys.readouterr().err
+    assert message in err and str(config) in err
+    assert not out.exists()
+
+
+def test_pole_is_only_checked_for_ar1_input(tmp_path):
+    config = parse_config(write_config(tmp_path, QUICK + "input = white\npole = 1\n"))
+    assert config.pole == 1.0
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_main_diverging_run_exit_code(tmp_path, capsys):
     # A huge step size sends the weights past double precision: the run
@@ -520,7 +552,9 @@ _KEY_VALUES = {
     "sir_db": (st.one_of(st.just("none"), _number(-1e4, 1e4)), _JUNK),
     "impulse_probability": (_number(0.0, 1.0), st.one_of(_JUNK, st.just("1.5"))),
     "iterations": (st.integers(1, 64).map(str), st.sampled_from(["0", "-2", "1e3"])),
-    "switch_iteration": (st.one_of(st.just("none"), st.integers(-5, 80).map(str)), st.just("x")),
+    "switch_iteration": (
+        st.one_of(st.just("none"), st.integers(0, 80).map(str)), st.sampled_from(["x", "-5"])
+    ),
     "clusters": (_CLUSTERS, _BAD_CLUSTERS),
     "switched_clusters": (st.one_of(st.just("none"), _CLUSTERS), _BAD_CLUSTERS),
     "normalize_path": (st.sampled_from(["true", "false", "yes", "0"]), st.just("maybe")),

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from apsabench.echo_path import EchoPath, PathSchedule, make_block_sparse, path_at
+from apsabench.echo_path import EchoPath, PathSchedule, make_block_sparse, path_at, phases
 from apsabench.signals import SeededStream
 
 
@@ -20,8 +22,8 @@ def test_normalized_path_has_unit_norm():
 
 def test_default_standin_geometries():
     # The documented defaults: one 64-tap cluster, and two 32-tap clusters.
-    one = make_block_sparse(512, [(100, 64)], SeededStream(3), label="one-cluster")
-    two = make_block_sparse(512, [(60, 32), (300, 32)], SeededStream(4), label="two-cluster")
+    one = make_block_sparse(512, [(100, 64)], SeededStream(3))
+    two = make_block_sparse(512, [(60, 32), (300, 32)], SeededStream(4))
     assert np.count_nonzero(one.taps) == 64
     assert np.count_nonzero(two.taps) == 64
     assert np.all(two.taps[92:300] == 0.0)
@@ -55,8 +57,8 @@ def test_echo_path_rejects_all_zero_taps():
 
 
 def _schedule(switch):
-    initial = make_block_sparse(16, [(0, 4)], SeededStream(1), label="a")
-    switched = make_block_sparse(16, [(8, 4)], SeededStream(2), label="b")
+    initial = make_block_sparse(16, [(0, 4)], SeededStream(1))
+    switched = make_block_sparse(16, [(8, 4)], SeededStream(2))
     return PathSchedule(initial=initial, switched=switched, switch_iteration=switch)
 
 
@@ -97,3 +99,25 @@ def test_schedule_requires_switch_fields_together():
         PathSchedule(initial=a, switched=b)
     with pytest.raises(ValueError):
         PathSchedule(initial=a, switch_iteration=5)
+
+
+def test_schedule_rejects_negative_switch():
+    a = make_block_sparse(16, [(0, 4)], SeededStream(1))
+    b = make_block_sparse(16, [(8, 4)], SeededStream(2))
+    with pytest.raises(ValueError, match="switch_iteration"):
+        PathSchedule(initial=a, switched=b, switch_iteration=-1)
+
+
+@given(switch=st.one_of(st.none(), st.integers(0, 50)), n=st.integers(0, 40))
+def test_phases_tile_the_run_and_agree_with_path_at(switch, n):
+    initial = make_block_sparse(16, [(0, 4)], SeededStream(1))
+    schedule = PathSchedule(initial) if switch is None else _schedule(switch)
+    stretches = phases(schedule, n)
+    # Nonempty stretches, in order, that cover [0, n) without gaps.
+    bounds = [0] + [end for _, _, end in stretches]
+    assert [first for _, first, _ in stretches] == bounds[:-1]
+    assert bounds[-1] == n
+    assert all(first < end for _, first, end in stretches)
+    for taps, first, end in stretches:
+        for i in (first, end - 1):
+            assert taps is path_at(schedule, i).taps

@@ -65,7 +65,7 @@ def test_params_reject_non_finite(field, value):
 def test_params_accept_zero_regularizers_and_zero_step():
     # Degenerate diagnostic modes used by the equivalence checks.
     p = FilterParams(filter_length=8, step_size=0.0, gain_regularizer=0.0, update_regularizer=0.0)
-    assert p.n_blocks == 2
+    assert (p.step_size, p.gain_regularizer, p.update_regularizer) == (0.0, 0.0, 0.0)
 
 
 def test_state_starts_exactly_zero():
@@ -215,10 +215,9 @@ def allocating_block_gains(weights, block_length, mix, eps, variant):
 @pytest.mark.parametrize("mix", [-0.5, 0.0, 0.5])
 @pytest.mark.parametrize("eps", [0.0, 0.01])
 def test_block_gains_into_buffers_match_the_allocating_rule(variant, block_length, mix, eps):
-    # The engine writes each algorithm's gains into its row of one slab and
-    # reuses one scratch pair for all of them; buffers full of NaN from an
-    # earlier call must not leak into the gains.  Zero rows take the 0/0
-    # branch when eps is 0.
+    # The engine writes each algorithm's gains into its row of one slab; a
+    # slab full of NaN from an earlier call must not leak into the gains.
+    # Zero rows take the 0/0 branch when eps is 0.
     rng = np.random.default_rng(block_length)
     for shape in [(12,), (3, 12), (2, 3, 12)]:
         w = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 1e3], shape[:-1] + (1,))
@@ -227,14 +226,13 @@ def test_block_gains_into_buffers_match_the_allocating_rule(variant, block_lengt
         expected = allocating_block_gains(w, block_length, mix, eps, variant)
         allocated = _block_gains(w, block_length, mix, eps, variant)
         slab = np.full((2,) + shape, np.nan)
-        scratch = (np.full(shape[:-1] + (1,), np.nan), np.full(shape[:-1] + (1,), np.nan))
-        returned = _block_gains(w, block_length, mix, eps, variant, slab[1], scratch)
+        returned = _block_gains(w, block_length, mix, eps, variant, slab[1])
         assert np.shares_memory(returned, slab[1])
         assert np.array_equal(allocated, expected)
         assert np.array_equal(slab[1], expected)
         assert np.all(np.isnan(slab[0]))
         if block_length == 1 and variant is GainVariant.MIP_CONSISTENT:
-            assert np.array_equal(ip_gains(w, mix, eps, slab[0], scratch), expected)
+            assert np.array_equal(ip_gains(w, mix, eps, slab[0]), expected)
 
 
 # ------------------------------------------------- error, sign, memory, update

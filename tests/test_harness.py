@@ -5,14 +5,13 @@ from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from apsabench.audio import save_wav
-from apsabench.echo_path import PathSchedule, make_block_sparse
+from apsabench.echo_path import PathSchedule, make_block_sparse, phases
 from apsabench.filters import FilterParams, GainVariant
 from apsabench.harness import (
     MISALIGNMENT_FLOOR_DB,
     PATH_STREAM,
     ExperimentConfig,
     _clean_echo,
-    _phases,
     misalignment_db,
     run_ensemble,
     run_trial,
@@ -111,36 +110,37 @@ def test_clean_echo_matches_lfilter_bitwise(case):
 
 
 def _switching_config(switch):
-    initial = make_block_sparse(16, [(0, 4)], SeededStream(1), label="a")
-    switched = make_block_sparse(16, [(8, 4)], SeededStream(2), label="b")
+    initial = make_block_sparse(16, [(0, 4)], SeededStream(1))
+    switched = make_block_sparse(16, [(8, 4)], SeededStream(2))
     schedule = PathSchedule(initial=initial, switched=switched, switch_iteration=switch)
     return small_config(schedule=schedule, iterations=200)
 
 
 def test_phases_without_switch():
     config = small_config()
-    [(taps, first, end)] = _phases(config)
+    [(taps, first, end)] = phases(config.schedule, config.iterations)
     assert taps is config.schedule.initial.taps
     assert (first, end) == (0, config.iterations)
 
 
 def test_phases_switch_from_iteration_zero():
     config = _switching_config(0)
-    [(taps, first, end)] = _phases(config)
+    [(taps, first, end)] = phases(config.schedule, config.iterations)
     assert taps is config.schedule.switched.taps
     assert (first, end) == (0, 200)
 
 
 def test_phases_switch_boundary():
     config = _switching_config(100)
-    (before, *_), (after, *_) = _phases(config)
+    stretches = phases(config.schedule, config.iterations)
+    (before, *_), (after, *_) = stretches
     assert before is config.schedule.initial.taps
     assert after is config.schedule.switched.taps
-    assert [phase[1:] for phase in _phases(config)] == [(0, 100), (100, 200)]
+    assert [phase[1:] for phase in stretches] == [(0, 100), (100, 200)]
     # A switch at or beyond the end leaves only the initial path.
     for switch in (200, 10**6):
         late = _switching_config(switch)
-        [(taps, first, end)] = _phases(late)
+        [(taps, first, end)] = phases(late.schedule, late.iterations)
         assert taps is late.schedule.initial.taps
         assert (first, end) == (0, 200)
 
