@@ -361,9 +361,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wall-clock duration: {elapsed:.2f} s")
             print(f"wrote {csv_path}, {dat_path}, {manifest_path}")
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except WavFormatError as exc:
         print(f"wav error: {exc}", file=sys.stderr)
         return EXIT_WAV
@@ -371,7 +368,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
-        # Constraint violated at run time (e.g. WAV shorter than the run).
+        # A ConfigError, or a constraint violated at run time (e.g. WAV
+        # shorter than the run).
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError:

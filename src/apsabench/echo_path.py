@@ -121,10 +121,12 @@ def path_at(schedule: PathSchedule, iteration: int) -> EchoPath:
 def phases(schedule: PathSchedule, n: int) -> list[tuple[np.ndarray, int, int]]:
     """(active taps, first iteration, end) of each nonempty stretch of
     iterations [0, n), in order.  The engine and the echo synthesis both
-    take the switch from here."""
+    take the switch from here, and each stretch its taps from
+    :func:`path_at`."""
     k = schedule.switch_iteration
-    if k is None or k >= n:
-        stretches = [(schedule.initial.taps, 0, n)]
-    else:
-        stretches = [(schedule.initial.taps, 0, k), (schedule.switched.taps, k, n)]
-    return [stretch for stretch in stretches if stretch[1] < stretch[2]]
+    edges = [0, n] if k is None or k >= n else [0, k, n]
+    return [
+        (path_at(schedule, first).taps, first, end)
+        for first, end in zip(edges, edges[1:])
+        if first < end
+    ]

@@ -1,11 +1,11 @@
 """Per-sample update rules for the affine projection sign algorithm family.
 
-Three steppers share one pipeline, a memory of past gain-weighted
-regressors, and differ only in the gains that :func:`gain_rule` gives:
-APSA (unit gains, so its memory holds the regressors), MIP-APSA (per-tap
-proportionate gains) and BS-MIP-APSA (per-block proportionate gains). All
-of them bound the weight change per step by the step size, which is what
-makes them robust to impulsive noise.
+The three steppers of ``STEPPERS`` are one pipeline, a memory of past
+gain-weighted regressors, and differ only in the gains that
+:func:`gain_rule` gives: APSA (unit gains, so its memory holds the
+regressors), MIP-APSA (per-tap proportionate gains) and BS-MIP-APSA
+(per-block proportionate gains).  All of them bound the weight change per
+step by the step size, which is what makes them robust to impulsive noise.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -287,7 +288,7 @@ def _memory_sign_step(
     # a normalized step along the memory times the error signs.
     _push_sample(state, x_new, y_new)
     rule = gain_rule(algorithm, params)
-    gains = 1.0 if rule is None else rule[0](state.weights, *rule[1])
+    gains = 1.0 if rule is None else rule(state.weights)
     state.memory = shift_memory(state.memory, gains * state.regressors[:, 0])
     direction = state.memory @ sign_vector(error_vector(state))
     state.weights = normalized_update(
@@ -296,67 +297,42 @@ def _memory_sign_step(
     return state
 
 
-def apsa_step(
-    state: FilterState, params: FilterParams, x_new: float, y_new: float
-) -> FilterState:
-    """Advance APSA by one sample (state is updated in place and returned).
-
-    The gains are all 1.0, so the memory holds the regressors themselves and
-    the direction is the regressor matrix times the error signs.
-    """
-    return _memory_sign_step("apsa", state, params, x_new, y_new)
-
-
-def mip_apsa_step(
-    state: FilterState, params: FilterParams, x_new: float, y_new: float
-) -> FilterState:
-    """Advance MIP-APSA by one sample (state is updated in place and returned).
-
-    Per-tap gains come from the weights before the update; only the newest
-    gain-weighted regressor is computed, older ones are reused from memory.
-    """
-    return _memory_sign_step("mip-apsa", state, params, x_new, y_new)
-
-
-def bs_mip_apsa_step(
-    state: FilterState, params: FilterParams, x_new: float, y_new: float
-) -> FilterState:
-    """Advance BS-MIP-APSA by one sample (state is updated in place, returned).
-
-    Identical pipeline to :func:`mip_apsa_step` with per-block gains instead
-    of per-tap gains.  block_length 1 with the MIP_CONSISTENT variant matches
-    MIP-APSA bit for bit; block_length equal to the filter length makes the
-    gain uniform, which cancels in the normalized update and recovers APSA
-    exactly when both regularizers are zero.
-    """
-    return _memory_sign_step("bs-mip-apsa", state, params, x_new, y_new)
+# The family: each algorithm's gain rule, made from its FilterParams.  None
+# stands for APSA's unit gains, so its memory holds the regressors; MIP-APSA's
+# gains are per tap and BS-MIP-APSA's per block.  BS-MIP-APSA at block length
+# 1 with the MIP_CONSISTENT or BLOCK_BALANCED variant is MIP-APSA bit for
+# bit; at block length L the gain is uniform, which cancels in the normalized
+# update and recovers APSA exactly when both regularizers are zero.  The
+# makers read ip_gains and bs_gains as module globals when a rule is made, so
+# a rule calls whatever they are bound to then (perfbench's spans wrap them).
+_GAIN_RULES = {
+    "apsa": None,
+    "mip-apsa": lambda p: partial(
+        ip_gains, proportionate_mix=p.proportionate_mix, gain_regularizer=p.gain_regularizer
+    ),
+    "bs-mip-apsa": lambda p: partial(
+        bs_gains,
+        block_length=p.block_length,
+        proportionate_mix=p.proportionate_mix,
+        gain_regularizer=p.gain_regularizer,
+        variant=p.gain_variant,
+    ),
+}
 
 
 def gain_rule(algorithm: str, params: FilterParams):
-    """The gain rule of ``algorithm``: (function, arguments after the weights).
+    """The gain rule of ``algorithm`` as ``rule(weights, out=None)``, or None
+    for APSA's unit gains.
 
-    None stands for APSA's unit gains; MIP-APSA's rule is per tap and
-    BS-MIP-APSA's per block.  This is the one place that lists an
-    algorithm's gain arguments: the steppers apply the rule one filter at a
-    time, and the batched engine calls it on a slab of filters, as
-    ``function(weights, *arguments, out)``.
+    The steppers apply the rule to one filter's weights, and the batched
+    engine to a slab of filters with ``out`` bound to the slab's rows.
     """
-    if algorithm == "apsa":
-        return None
-    if algorithm == "mip-apsa":
-        return ip_gains, (params.proportionate_mix, params.gain_regularizer)
-    if algorithm == "bs-mip-apsa":
-        return bs_gains, (
-            params.block_length,
-            params.proportionate_mix,
-            params.gain_regularizer,
-            params.gain_variant,
-        )
-    raise ValueError(f"unknown algorithm '{algorithm}'; choose from {sorted(STEPPERS)}")
+    if algorithm not in _GAIN_RULES:
+        raise ValueError(f"unknown algorithm '{algorithm}'; choose from {sorted(_GAIN_RULES)}")
+    make = _GAIN_RULES[algorithm]
+    return None if make is None else make(params)
 
 
-STEPPERS = {
-    "apsa": apsa_step,
-    "mip-apsa": mip_apsa_step,
-    "bs-mip-apsa": bs_mip_apsa_step,
-}
+STEPPERS = {name: partial(_memory_sign_step, name) for name in _GAIN_RULES}
+"""Per-sample stepper of each algorithm: ``step(state, params, x_new, y_new)``
+advances the state by one sample in place and returns it."""

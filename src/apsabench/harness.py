@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 # Bare names for the per-sample loop: it runs once per sample, and a module
@@ -43,11 +44,11 @@ _IMPULSE_ROLE = 3
 MISALIGNMENT_FLOOR_DB = -300.0
 
 # The engine copies the weights entering each iteration into a history of
-# at most _CHUNK rows and at most _HISTORY_BYTES, then turns the whole
-# history into |h - w|^2, dB and trial sums at once.  The byte budget is
-# about what 1024 iterations of per-trial misalignment took at 30 filters,
-# so that many filters do not raise the peak memory.
-_CHUNK = 1024
+# at most _HISTORY_BYTES, then turns the whole history into |h - w|^2, dB
+# and trial sums at once.  The budget is about what 1024 iterations of
+# per-trial misalignment took at 30 filters, so that many filters do not
+# raise the peak memory; it sets the chunk of every shipped config and
+# workload, from 2 rows (colored_input_tracking) to 512 (single_wav).
 _HISTORY_BYTES = 256 * 1024
 
 INPUT_KINDS = ("white", "ar1", "wav")
@@ -149,7 +150,7 @@ def _input_signal(
 ) -> np.ndarray:
     n = config.iterations
     if config.input_kind == "white":
-        return white_gaussian(n, 1.0, stream)
+        return white_gaussian(n, stream)
     if config.input_kind == "ar1":
         return ar1_colored(n, config.pole, stream)
     return _wav_input(config) if wav is None else wav
@@ -179,9 +180,9 @@ def _noise_record(
     # ratio undefined.
     n = clean.shape[0]
     clean_power = signal_power(clean)
-    background = white_gaussian(n, 1.0, trial_stream(base_seed, trial_index, _BACKGROUND_ROLE))
+    background = white_gaussian(n, trial_stream(base_seed, trial_index, _BACKGROUND_ROLE))
     impulses = bernoulli_gaussian(
-        n, noise.impulse_probability, 1.0, trial_stream(base_seed, trial_index, _IMPULSE_ROLE)
+        n, noise.impulse_probability, trial_stream(base_seed, trial_index, _IMPULSE_ROLE)
     )
     v = np.zeros(n)
     for component, target_db in ((background, noise.snr_db), (impulses, noise.sir_db)):
@@ -240,11 +241,11 @@ def _run_batch(
     All A x T filters advance together, one Python iteration per sample.
     Each filter follows its per-sample stepper in ``filters.STEPPERS``; only
     the summation order of the dot products may differ.  The run's shape
-    picks one of two loops.  One APSA filter over one trial runs without
-    batch axes and without gains or memory: 1-D and 2-D arrays, its
-    direction from the regressors, ``np.dot`` for the direction and its
-    energy (the same bits as ``np.matmul`` for these two products, but
-    cheaper to call), a step size in Python floats, and the weights read
+    picks one of two loops.  One filter without a gain rule (APSA) over one
+    trial runs without batch axes and without gains or memory: 1-D and 2-D
+    arrays, its direction from the regressors, ``np.dot`` for the direction
+    and its energy (the same bits as ``np.matmul`` for these two products,
+    but cheaper to call), a step size in Python floats, and the weights read
     from row views of the history made once per run.  Every other run
     takes the batched loop, where the algorithms differ only in their
     gains: one (A, T, L) slab holds them, all ones for APSA, and the newest
@@ -269,11 +270,12 @@ def _run_batch(
     # j samples ago (newest tap first) and ys[i + j] its desired sample.
     # Time runs along the first axis, so one plain slice serves every trial.
     windows = sliding_window_view(xs, L, axis=1).transpose(1, 0, 2)
-    single = config.algorithms == ("apsa",) and T == 1
+    rules = [gain_rule(name, params) for name in config.algorithms]
+    single = rules == [None] and T == 1
     # The history holds the weights entering each iteration of a chunk: the
-    # step of row k writes row k + 1.  At most _CHUNK rows and
-    # _HISTORY_BYTES, plus the row that carries into the next chunk.
-    chunk = max(1, min(_CHUNK, _HISTORY_BYTES // (A * T * L * 8)))
+    # step of row k writes row k + 1.  At most _HISTORY_BYTES, plus the row
+    # that carries into the next chunk.
+    chunk = max(1, _HISTORY_BYTES // (A * T * L * 8))
     rows = min(N, chunk)
     history = np.zeros((rows + 1, L) if single else (rows + 1, A, T, L))
     if single:
@@ -290,8 +292,7 @@ def _run_batch(
         memory = np.zeros((A, T, rows + M - 1, L))
         gains = np.ones((A, T, L))
         # Each rule writes its algorithm's row of the slab.
-        rules = [(a, gain_rule(name, params)) for a, name in enumerate(config.algorithms)]
-        rules = [(a, rule[0], (*rule[1], gains[a])) for a, rule in rules if rule]
+        rules = [(a, partial(rule, out=gains[a])) for a, rule in enumerate(rules) if rule]
         ys = ys.T[:, None, :]
         errors = np.empty((M, A, T))
         direction = np.empty((A, T, L))
@@ -347,8 +348,8 @@ def _run_batch(
                         einsum("mtl,atl->mat", regressors, weights, out=errors)
                         subtract(ys[i : i + M], errors, errors)
                         sign(errors, errors)
-                        for a, fn, args in rules:
-                            fn(weights[a], *args)
+                        for a, rule in rules:
+                            rule(weights[a])
                         p = K - 1 - k
                         multiply(gains, regressors[0], memory[..., p, :])
                         matmul(signs_rows, memory[..., p : p + M, :], direction_row)

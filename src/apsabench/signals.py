@@ -58,11 +58,11 @@ class NoiseModel:
                 raise ValueError(f"{name} must be finite, got {value}")
 
 
-def white_gaussian(count: int, sigma: float, stream: SeededStream) -> np.ndarray:
-    """i.i.d. zero-mean Gaussian samples with standard deviation ``sigma``."""
+def white_gaussian(count: int, stream: SeededStream) -> np.ndarray:
+    """i.i.d. zero-mean, unit-variance Gaussian samples."""
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    return sigma * stream.generator().standard_normal(count)
+    return stream.generator().standard_normal(count)
 
 
 def ar1_colored(count: int, pole: float, stream: SeededStream) -> np.ndarray:
@@ -73,7 +73,7 @@ def ar1_colored(count: int, pole: float, stream: SeededStream) -> np.ndarray:
     """
     if not -1.0 < pole < 1.0:
         raise ValueError(f"pole must satisfy |pole| < 1 for stability, got {pole}")
-    white = white_gaussian(count, 1.0, stream)
+    white = white_gaussian(count, stream)
     if pole == 0.0:
         return white
     # The recursion in Python floats: the same arithmetic, sample by sample,
@@ -82,10 +82,8 @@ def ar1_colored(count: int, pole: float, stream: SeededStream) -> np.ndarray:
     return np.array([y := pole * y + v for v in white.tolist()])
 
 
-def bernoulli_gaussian(
-    count: int, p: float, sigma: float, stream: SeededStream
-) -> np.ndarray:
-    """Product of a Bernoulli(p) on/off process and a Gaussian(0, sigma^2).
+def bernoulli_gaussian(count: int, p: float, stream: SeededStream) -> np.ndarray:
+    """Product of a Bernoulli(p) on/off process and a unit Gaussian.
 
     Models rare large impulses; p = 0 gives all zeros, p = 1 is white
     Gaussian in law.
@@ -97,8 +95,7 @@ def bernoulli_gaussian(
     rng = stream.generator()
     # Draw both processes unconditionally so the stream layout is stable.
     mask = rng.random(count) < p
-    amplitudes = sigma * rng.standard_normal(count)
-    return np.where(mask, amplitudes, 0.0)
+    return np.where(mask, rng.standard_normal(count), 0.0)
 
 
 def signal_power(x: np.ndarray) -> float:

@@ -26,11 +26,8 @@ from apsabench.filters import (
     FilterParams,
     FilterState,
     GainVariant,
-    apsa_step,
     bs_gains,
-    bs_mip_apsa_step,
     ip_gains,
-    mip_apsa_step,
 )
 from apsabench.harness import PATH_STREAM, ExperimentConfig, run_ensemble
 from apsabench.signals import (
@@ -54,9 +51,9 @@ def _sample_stream(seed, L, n):
     x = ar1_colored(n, 0.8, SeededStream(seed, 1))
     h = make_block_sparse(L, [(L // 4, L // 2)], SeededStream(seed, 0)).taps
     clean = lfilter(h, [1.0], x)
-    background = scale_to_ratio(clean, white_gaussian(n, 1.0, SeededStream(seed, 2)), 40.0)
+    background = scale_to_ratio(clean, white_gaussian(n, SeededStream(seed, 2)), 40.0)
     impulses = scale_to_ratio(
-        clean, bernoulli_gaussian(n, 0.1, 1.0, SeededStream(seed, 3)), 0.0
+        clean, bernoulli_gaussian(n, 0.1, SeededStream(seed, 3)), 0.0
     )
     return x, clean + background + impulses
 
@@ -80,8 +77,8 @@ def test_criterion_1_block_length_one_equals_per_tap_algorithm():
         )
         s_mip, s_bs = FilterState.zeros(params), FilterState.zeros(params)
         for n in range(1000):
-            mip_apsa_step(s_mip, params, x[n], y[n])
-            bs_mip_apsa_step(s_bs, params, x[n], y[n])
+            STEPPERS["mip-apsa"](s_mip, params, x[n], y[n])
+            STEPPERS["bs-mip-apsa"](s_bs, params, x[n], y[n])
             worst = max(worst, _relative_gap(s_mip.weights, s_bs.weights))
     elapsed = time.process_time() - started
     ok = worst <= 1e-12 and elapsed < 5.0
@@ -102,8 +99,8 @@ def test_criterion_2_full_length_block_degenerates_to_apsa():
         )
         s_apsa, s_bs = FilterState.zeros(params), FilterState.zeros(params)
         for n in range(1000):
-            apsa_step(s_apsa, params, x[n], y[n])
-            bs_mip_apsa_step(s_bs, params, x[n], y[n])
+            STEPPERS["apsa"](s_apsa, params, x[n], y[n])
+            STEPPERS["bs-mip-apsa"](s_bs, params, x[n], y[n])
             worst = max(worst, _relative_gap(s_apsa.weights, s_bs.weights))
     elapsed = time.process_time() - started
     ok = worst <= 1e-12 and elapsed < 5.0
@@ -186,8 +183,8 @@ def test_criterion_5_memory_matches_bruteforce_history():
                           gain_regularizer=EPS, update_regularizer=DELTA)
     mismatches = 0
     for step, gain_fn in (
-        (mip_apsa_step, lambda w: ip_gains(w, params.proportionate_mix, params.gain_regularizer)),
-        (bs_mip_apsa_step, lambda w: bs_gains(w, params.block_length, params.proportionate_mix,
+        (STEPPERS["mip-apsa"], lambda w: ip_gains(w, params.proportionate_mix, params.gain_regularizer)),
+        (STEPPERS["bs-mip-apsa"], lambda w: bs_gains(w, params.block_length, params.proportionate_mix,
                                               params.gain_regularizer, params.gain_variant)),
     ):
         state = FilterState.zeros(params)

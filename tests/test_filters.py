@@ -7,20 +7,23 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from apsabench.filters import (
+    STEPPERS,
     FilterParams,
     FilterState,
     GainVariant,
     _block_gains,
-    apsa_step,
     bs_gains,
-    bs_mip_apsa_step,
     error_vector,
     ip_gains,
-    mip_apsa_step,
     normalized_update,
     shift_memory,
     sign_vector,
 )
+
+# Every stepper, with ids such as `apsa_step`.
+ALL_STEPPERS = [
+    pytest.param(step, id=f"{name.replace('-', '_')}_step") for name, step in STEPPERS.items()
+]
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -343,11 +346,11 @@ def test_apsa_single_step_hand_trace():
         step_size=0.1, update_regularizer=0.01,
     )
     s = FilterState.zeros(p)
-    apsa_step(s, p, 1.0, 1.0)
+    STEPPERS["apsa"](s, p, 1.0, 1.0)
     assert np.allclose(s.weights, [0.1 / math.sqrt(1.01), 0.0], rtol=1e-15)
 
 
-@pytest.mark.parametrize("step", [apsa_step, mip_apsa_step, bs_mip_apsa_step])
+@pytest.mark.parametrize("step", ALL_STEPPERS)
 def test_noise_free_converged_filter_stays_put(step):
     # True path = unit impulse at tap 0, so the noiseless desired sample is
     # the newest input verbatim and the error cancels exactly in floating
@@ -367,7 +370,7 @@ def test_mip_first_step_memory_column_is_floor_weighted_regressor():
     p = FilterParams(filter_length=3, projection_order=2, block_length=1,
                      proportionate_mix=0.0, gain_regularizer=0.01)
     s = FilterState.zeros(p)
-    mip_apsa_step(s, p, 2.0, 1.0)
+    STEPPERS["mip-apsa"](s, p, 2.0, 1.0)
     # Zero weights give the uniform floor gain (1 - alpha) / (2L) = 1/6.
     assert np.array_equal(s.memory[:, 0], np.array([2.0, 0.0, 0.0]) / 6.0)
     assert not s.memory[:, 1].any()
@@ -385,8 +388,8 @@ def test_mip_uniform_gain_matches_apsa_with_rescaled_regularizer():
                          update_regularizer=1e-4)
     p_apsa = FilterParams(filter_length=L, projection_order=1, block_length=1,
                           step_size=0.02, update_regularizer=1e-4 * L**2)
-    w_mip = _drive(mip_apsa_step, p_mip, x, y)
-    w_apsa = _drive(apsa_step, p_apsa, x, y)
+    w_mip = _drive(STEPPERS["mip-apsa"], p_mip, x, y)
+    w_apsa = _drive(STEPPERS["apsa"], p_apsa, x, y)
     for a, b in zip(w_mip, w_apsa):
         assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
 
@@ -398,7 +401,7 @@ def test_bs_with_unit_blocks_is_bitwise_mip(variant):
     x, y = rng.standard_normal(n), rng.standard_normal(n)
     p = FilterParams(filter_length=8, projection_order=3, block_length=1,
                      gain_variant=variant, step_size=0.05)
-    for a, b in zip(_drive(mip_apsa_step, p, x, y), _drive(bs_mip_apsa_step, p, x, y)):
+    for a, b in zip(_drive(STEPPERS["mip-apsa"], p, x, y), _drive(STEPPERS["bs-mip-apsa"], p, x, y)):
         assert np.array_equal(a, b)
 
 
@@ -408,13 +411,13 @@ def test_bs_full_length_block_matches_apsa_without_regularizers():
     x, y = rng.standard_normal(n), rng.standard_normal(n)
     p = FilterParams(filter_length=L, projection_order=2, block_length=L,
                      step_size=0.05, gain_regularizer=0.0, update_regularizer=0.0)
-    for a, b in zip(_drive(apsa_step, p, x, y), _drive(bs_mip_apsa_step, p, x, y)):
+    for a, b in zip(_drive(STEPPERS["apsa"], p, x, y), _drive(STEPPERS["bs-mip-apsa"], p, x, y)):
         denom = max(np.linalg.norm(a), np.linalg.norm(b))
         if denom > 0:
             assert np.linalg.norm(a - b) / denom <= 1e-12
 
 
-@pytest.mark.parametrize("step", [apsa_step, mip_apsa_step, bs_mip_apsa_step])
+@pytest.mark.parametrize("step", ALL_STEPPERS)
 def test_huge_desired_impulse_cannot_move_weights_beyond_step_size(step):
     rng = np.random.default_rng(11)
     p = FilterParams(filter_length=8, projection_order=2, block_length=4, step_size=0.01)
@@ -428,7 +431,11 @@ def test_huge_desired_impulse_cannot_move_weights_beyond_step_size(step):
 
 @pytest.mark.parametrize(
     "step,uses_block_gains",
-    [(mip_apsa_step, False), (bs_mip_apsa_step, True), (apsa_step, None)],
+    [
+        pytest.param(STEPPERS["mip-apsa"], False, id="mip_apsa_step-False"),
+        pytest.param(STEPPERS["bs-mip-apsa"], True, id="bs_mip_apsa_step-True"),
+        pytest.param(STEPPERS["apsa"], None, id="apsa_step-None"),
+    ],
 )
 def test_memory_matches_bruteforce_reconstruction(step, uses_block_gains):
     # Oracle: after each step, memory column j must equal the gain-weighted

@@ -23,39 +23,39 @@ def test_seeded_stream_rejects_negative_values(field):
 
 
 def test_white_gaussian_empty():
-    assert white_gaussian(0, 1.0, SeededStream(1)).shape == (0,)
+    assert white_gaussian(0, SeededStream(1)).shape == (0,)
 
 
 def test_white_gaussian_determinism():
     s = SeededStream(42, 3)
-    assert np.array_equal(white_gaussian(100, 1.0, s), white_gaussian(100, 1.0, s))
+    assert np.array_equal(white_gaussian(100, s), white_gaussian(100, s))
 
 
 def test_white_gaussian_distinct_streams_differ():
-    a = white_gaussian(100, 1.0, SeededStream(42, 0))
-    b = white_gaussian(100, 1.0, SeededStream(42, 1))
+    a = white_gaussian(100, SeededStream(42, 0))
+    b = white_gaussian(100, SeededStream(42, 1))
     assert not np.array_equal(a, b)
 
 
 def test_white_gaussian_unit_variance():
-    x = white_gaussian(10**6, 1.0, SeededStream(7))
+    x = white_gaussian(10**6, SeededStream(7))
     assert np.var(x) == pytest.approx(1.0, rel=0.01)
 
 
 def test_white_gaussian_rejects_negative_count():
     with pytest.raises(ValueError):
-        white_gaussian(-1, 1.0, SeededStream(1))
+        white_gaussian(-1, SeededStream(1))
 
 
 def test_ar1_zero_pole_is_white_stream():
     s = SeededStream(5, 2)
-    assert np.array_equal(ar1_colored(500, 0.0, s), white_gaussian(500, 1.0, s))
+    assert np.array_equal(ar1_colored(500, 0.0, s), white_gaussian(500, s))
 
 
 def test_ar1_first_sample_equals_driving_noise():
     s = SeededStream(9)
     colored = ar1_colored(50, 0.8, s)
-    white = white_gaussian(50, 1.0, s)
+    white = white_gaussian(50, s)
     assert colored[0] == white[0]
 
 
@@ -73,7 +73,7 @@ def test_ar1_rejects_unstable_pole(pole):
 def test_ar1_recursion_matches_direct_loop():
     s = SeededStream(13)
     x = ar1_colored(200, 0.8, s)
-    w = white_gaussian(200, 1.0, s)
+    w = white_gaussian(200, s)
     prev = 0.0
     for n in range(200):
         prev = 0.8 * prev + w[n]
@@ -88,29 +88,29 @@ def test_ar1_recursion_matches_direct_loop():
 def test_ar1_matches_lfilter_bitwise(pole, count, seed):
     # The all-pole filter [1] / [1, -pole] is the recursion's oracle.
     s = SeededStream(seed, 1)
-    expected = lfilter([1.0], [1.0, -pole], white_gaussian(count, 1.0, s))
+    expected = lfilter([1.0], [1.0, -pole], white_gaussian(count, s))
     assert np.array_equal(ar1_colored(count, pole, s), expected)
 
 
 def test_bernoulli_gaussian_p_zero_all_zero():
-    assert not bernoulli_gaussian(1000, 0.0, 2.0, SeededStream(1)).any()
+    assert not bernoulli_gaussian(1000, 0.0, SeededStream(1)).any()
 
 
 def test_bernoulli_gaussian_p_one_all_active_gaussian():
-    x = bernoulli_gaussian(10**5, 1.0, 2.0, SeededStream(3))
+    x = bernoulli_gaussian(10**5, 1.0, SeededStream(3))
     assert np.all(x != 0.0)
-    assert np.var(x) == pytest.approx(4.0, rel=0.05)
+    assert np.var(x) == pytest.approx(1.0, rel=0.05)
 
 
 def test_bernoulli_gaussian_active_fraction():
-    x = bernoulli_gaussian(10**6, 0.1, 1.0, SeededStream(17))
+    x = bernoulli_gaussian(10**6, 0.1, SeededStream(17))
     fraction = np.count_nonzero(x) / x.size
     assert 0.095 <= fraction <= 0.105
 
 
 def test_bernoulli_gaussian_rejects_bad_probability():
     with pytest.raises(ValueError):
-        bernoulli_gaussian(10, 1.5, 1.0, SeededStream(1))
+        bernoulli_gaussian(10, 1.5, SeededStream(1))
 
 
 def test_scale_to_ratio_equal_power_zero_db_is_identity():
@@ -156,8 +156,8 @@ def test_scale_to_ratio_rejects_zero_power():
 
 def test_substreams_are_uncorrelated():
     n = 10**6
-    a = white_gaussian(n, 1.0, SeededStream(123, 0))
-    b = white_gaussian(n, 1.0, SeededStream(123, 1))
+    a = white_gaussian(n, SeededStream(123, 0))
+    b = white_gaussian(n, SeededStream(123, 1))
     r = np.corrcoef(a, b)[0, 1]
     assert abs(r) < 0.01
 
