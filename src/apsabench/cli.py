@@ -20,9 +20,10 @@ import numpy as np
 from apsabench import __version__
 from apsabench.audio import WavFormatError
 from apsabench.echo_path import PathSchedule, make_block_sparse
-from apsabench.filters import FilterParams, GainVariant
+from apsabench.filters import STEPPERS, FilterParams, GainVariant
 from apsabench.harness import (
     PATH_STREAM,
+    SWITCHED_PATH_STREAM,
     ExperimentConfig,
     MisalignmentTrace,
     run_ensemble,
@@ -107,7 +108,7 @@ _SCHEMA: dict[str, tuple] = {
     "epsilon": (_finite_float, "0.01", "params.gain_regularizer"),
     "delta": (_finite_float, "0.01", "params.update_regularizer"),
     "gain_variant": (GainVariant, "mip_consistent", "params.gain_variant"),
-    "algorithms": (_parse_algorithms, "apsa,mip-apsa,bs-mip-apsa", "algorithms"),
+    "algorithms": (_parse_algorithms, ",".join(STEPPERS), "algorithms"),
     "input": (str.lower, "ar1", "input_kind"),
     "pole": (_finite_float, "0.8", "pole"),
     "wav_path": (_optional(str), "none", "wav_path"),
@@ -174,8 +175,12 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> ExperimentCon
 
     top = fields[""]
     wav_path = top["wav_path"]
-    if wav_path is not None and not Path(wav_path).is_absolute():
-        top["wav_path"] = str((Path(path).parent / wav_path).resolve())
+    if wav_path is not None:
+        if not Path(wav_path).is_absolute():
+            wav_path = top["wav_path"] = str((Path(path).parent / wav_path).resolve())
+        # The manifest echoes the resolved path, and there '#' starts a comment.
+        if "#" in wav_path:
+            raise ConfigError(f"{path}: bad value for 'wav_path': '#' in {wav_path}")
 
     def draw_path(clusters, stream_id: int):
         return make_block_sparse(
@@ -191,7 +196,7 @@ def parse_config(path, overrides: dict[str, str] | None = None) -> ExperimentCon
         switched_clusters = fields["schedule.switched"]["clusters"]
         switched = None
         if switched_clusters is not None:
-            switched = draw_path(switched_clusters, PATH_STREAM + 4)
+            switched = draw_path(switched_clusters, SWITCHED_PATH_STREAM)
         schedule = PathSchedule(
             initial, switched, switch_iteration=fields["schedule"]["switch_iteration"]
         )
@@ -248,12 +253,17 @@ def _write_tables(trace: MisalignmentTrace, targets) -> None:
 
     Each block of rows is formatted once, with commas; a target with
     another separator gets them replaced, since the numbers and column
-    names hold none.  An empty trace raises ValueError before any file is
-    opened; a failed open, write or close raises OSError naming the path.
+    names hold none.  Empty or ragged columns raise ValueError before any
+    file is opened; a failed open, write or close raises OSError naming the
+    path.
     """
-    if trace.iterations < 1 or not trace.traces:
-        raise ValueError("trace is empty; nothing to write")
     columns = list(trace.traces.values())
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"trace columns differ in length: {sorted(lengths)}")
+    [count] = lengths or {0}
+    if count < 1:
+        raise ValueError("trace is empty; nothing to write")
     names = [f"{name}_misalign_db" for name in trace.traces]
     row_format = "%d" + ",%.6f" * len(columns) + "\n"
     header = ",".join(["iteration", *names]) + "\n"
@@ -265,8 +275,8 @@ def _write_tables(trace: MisalignmentTrace, targets) -> None:
                 fh = stack.enter_context(open(path, "w", encoding="ascii", newline=""))
                 fh.write(lead + header.replace(",", sep))
                 files.append((path, fh, sep))
-            for a in range(0, trace.iterations, _WRITE_BLOCK):
-                b = min(a + _WRITE_BLOCK, trace.iterations)
+            for a in range(0, count, _WRITE_BLOCK):
+                b = min(a + _WRITE_BLOCK, count)
                 rows = zip(range(a, b), *(col[a:b].tolist() for col in columns))
                 text = "".join(map(row_format.__mod__, rows))
                 for path, fh, sep in files:

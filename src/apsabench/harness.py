@@ -33,10 +33,11 @@ from apsabench.signals import (
     white_gaussian,
 )
 
-# Substream layout: the echo path draws from stream 0 (shared by all trials,
-# so every trial identifies the same system); per-trial streams use
-# 4*trial + role, which never collides with 0.
+# Substream layout: the initial and the switched echo path draw from streams
+# 0 and 4, shared by all trials so that every trial identifies the same
+# system; trial t draws from 4*t + role, roles 1 to 3, never a multiple of 4.
 PATH_STREAM = 0
+SWITCHED_PATH_STREAM = 4
 _INPUT_ROLE = 1
 _BACKGROUND_ROLE = 2
 _IMPULSE_ROLE = 3
@@ -64,7 +65,7 @@ class ExperimentConfig:
 
     params: FilterParams
     schedule: PathSchedule
-    algorithms: tuple[str, ...] = ("apsa", "mip-apsa", "bs-mip-apsa")
+    algorithms: tuple[str, ...] = tuple(STEPPERS)
     input_kind: str = "ar1"
     pole: float = 0.8
     wav_path: str | None = None
@@ -113,7 +114,6 @@ class MisalignmentTrace:
     """
 
     traces: dict[str, np.ndarray]
-    iterations: int
     trials: int
 
 
@@ -143,17 +143,6 @@ def _wav_input(config: ExperimentConfig) -> np.ndarray:
             f"{n}; shorten the run or supply a longer file"
         )
     return samples[:n]
-
-
-def _input_signal(
-    config: ExperimentConfig, stream: SeededStream, wav: np.ndarray | None
-) -> np.ndarray:
-    n = config.iterations
-    if config.input_kind == "white":
-        return white_gaussian(n, stream)
-    if config.input_kind == "ar1":
-        return ar1_colored(n, config.pole, stream)
-    return _wav_input(config) if wav is None else wav
 
 
 def _clean_echo(x: np.ndarray, schedule: PathSchedule) -> np.ndarray:
@@ -194,16 +183,21 @@ def _noise_record(
 
 
 def _realization(
-    config: ExperimentConfig, trial_index: int, wav: np.ndarray | None = None
+    config: ExperimentConfig, trial_index: int, wav: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Input x and desired signal y of one trial; every algorithm sees both.
 
-    ``wav`` is the run's WAV input when the caller has already read it;
-    otherwise a WAV run reads the file here.  Non-finite samples raise
-    ValueError, since one NaN or inf would poison the weights for good.
+    ``wav`` is a WAV run's input, which the caller reads once per run; other
+    runs synthesize theirs here.  Non-finite samples raise ValueError, since
+    one NaN or inf would poison the weights for good.
     """
     stream = trial_stream(config.base_seed, trial_index, _INPUT_ROLE)
-    x = _input_signal(config, stream, wav)
+    if config.input_kind == "white":
+        x = white_gaussian(config.iterations, stream)
+    elif config.input_kind == "ar1":
+        x = ar1_colored(config.iterations, config.pole, stream)
+    else:
+        x = wav
     clean = _clean_echo(x, config.schedule)
     y = clean + _noise_record(clean, config.noise, config.base_seed, trial_index)
     for name, signal in (("input", x), ("desired signal", y)):
@@ -261,9 +255,9 @@ def _run_batch(
     # is read once.
     xs = np.zeros((T, N + L + M - 2))
     ys = np.zeros((T, N + M - 1))
-    wav = (_wav_input(config),) if config.input_kind == "wav" else ()
+    wav = _wav_input(config) if config.input_kind == "wav" else None
     for row, t in enumerate(trial_indices):
-        x, y = _realization(config, t, *wav)
+        x, y = _realization(config, t, wav)
         xs[row, N - 1 :: -1] = x
         ys[row, N - 1 :: -1] = y
     # At iteration n, with i = N - 1 - n, windows[i + j] is the regressor of
@@ -389,13 +383,11 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> MisalignmentTrace:
     """One realization: every selected algorithm sees the same x and y."""
     total, _ = _run_batch(config, range(trial_index, trial_index + 1))
     traces = {name: total[:, a] for a, name in enumerate(config.algorithms)}
-    return MisalignmentTrace(traces=traces, iterations=config.iterations, trials=1)
+    return MisalignmentTrace(traces=traces, trials=1)
 
 
 def run_ensemble(config: ExperimentConfig) -> MisalignmentTrace:
     """Mean over trials of the per-iteration dB traces, in trial order."""
     total, _ = _run_batch(config, range(config.trials))
     traces = {name: total[:, a] / config.trials for a, name in enumerate(config.algorithms)}
-    return MisalignmentTrace(
-        traces=traces, iterations=config.iterations, trials=config.trials
-    )
+    return MisalignmentTrace(traces=traces, trials=config.trials)

@@ -29,7 +29,7 @@ from apsabench.filters import (
     bs_gains,
     ip_gains,
 )
-from apsabench.harness import PATH_STREAM, ExperimentConfig, run_ensemble
+from apsabench.harness import PATH_STREAM, SWITCHED_PATH_STREAM, ExperimentConfig, run_ensemble
 from apsabench.signals import (
     NoiseModel,
     SeededStream,
@@ -221,7 +221,9 @@ def _tracking_benchmark_config(gain_variant, algorithms=("apsa", "mip-apsa", "bs
     )
     schedule = PathSchedule(
         initial=make_block_sparse(L, [(24, 32)], SeededStream(601, PATH_STREAM)),
-        switched=make_block_sparse(L, [(16, 16), (88, 16)], SeededStream(601, PATH_STREAM + 4)),
+        switched=make_block_sparse(
+            L, [(16, 16), (88, 16)], SeededStream(601, SWITCHED_PATH_STREAM)
+        ),
         switch_iteration=20_000,
     )
     return ExperimentConfig(

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import os
 import subprocess
@@ -166,6 +167,24 @@ def test_config_echo_covers_every_schema_key(tmp_path):
     assert set(config_echo(config)) == set(_SCHEMA)
 
 
+# Keys whose schema default differs from the library's by design: the
+# library takes a path's length and support from the caller and has no
+# switch unless one is given.
+_CLI_ONLY_DEFAULTS = {"filter_length", "switch_iteration", "clusters", "switched_clusters"}
+
+
+def test_empty_config_resolves_to_the_library_defaults(tmp_path):
+    config = parse_config(write_config(tmp_path, ""))
+    owners = {"": config, "params": config.params, "noise": config.noise}
+    for key, (_, _, where) in _SCHEMA.items():
+        if key in _CLI_ONLY_DEFAULTS:
+            continue
+        owner, _, name = where.rpartition(".")
+        [field] = [f for f in dataclasses.fields(owners[owner]) if f.name == name]
+        assert field.default is not dataclasses.MISSING, key
+        assert getattr(owners[owner], name) == field.default, key
+
+
 # ------------------------------------------------------------------ WAV files
 
 
@@ -229,7 +248,6 @@ def test_load_wav_rejects_garbage(tmp_path):
 def make_trace():
     return MisalignmentTrace(
         traces={"apsa": np.array([0.0, -20.0]), "bs-mip-apsa": np.array([0.0, -1.25])},
-        iterations=2,
         trials=1,
     )
 
@@ -249,8 +267,8 @@ def test_emit_csv_format(tmp_path):
 def test_emit_csv_rejects_empty_trace(tmp_path):
     # Both emitters and the one-pass call share the precondition, and none
     # leaves a file.
-    for traces, iterations in (({}, 0), ({}, 5), ({"apsa": np.zeros(0)}, 0)):
-        empty = MisalignmentTrace(traces=traces, iterations=iterations, trials=0)
+    for traces in ({}, {"apsa": np.zeros(0)}, {"apsa": np.zeros(0), "mip-apsa": np.zeros(0)}):
+        empty = MisalignmentTrace(traces=traces, trials=0)
         for emit in (emit_csv, emit_plot_data):
             path = tmp_path / f"{emit.__name__}.out"
             with pytest.raises(ValueError, match="empty"):
@@ -259,6 +277,18 @@ def test_emit_csv_rejects_empty_trace(tmp_path):
         with pytest.raises(ValueError, match="empty"):
             emit_csv(empty, tmp_path / "both.csv", tmp_path / "both.dat")
         assert not any(tmp_path.iterdir())
+
+
+def test_emitters_reject_ragged_columns(tmp_path):
+    # The columns give the row count, so columns of different lengths are
+    # refused before any file is opened rather than cut to the shortest.
+    ragged = MisalignmentTrace(traces={"apsa": np.zeros(10), "mip-apsa": np.zeros(4)}, trials=1)
+    for emit in (emit_csv, emit_plot_data):
+        with pytest.raises(ValueError, match=r"differ in length: \[4, 10\]"):
+            emit(ragged, tmp_path / f"{emit.__name__}.out")
+    with pytest.raises(ValueError, match="differ in length"):
+        emit_csv(ragged, tmp_path / "both.csv", tmp_path / "both.dat")
+    assert not any(tmp_path.iterdir())
 
 
 def emit_plot_data_with_csv(trace, path):
@@ -303,7 +333,7 @@ def row_by_row(trace, sep, header_lead):
     columns = list(trace.traces.values())
     names = sep.join(f"{name}_misalign_db" for name in trace.traces)
     text = header_lead + "iteration" + sep + names + "\n"
-    for i in range(trace.iterations):
+    for i in range(len(columns[0])):
         text += f"{i}{sep}" + sep.join(f"{col[i]:.6f}" for col in columns) + "\n"
     return text.encode("ascii")
 
@@ -324,8 +354,7 @@ EDGE_VALUES = [0.0, -0.0, -300.0, 1e6, -4e-7, -5e-7, -1e-300, 5e-7, np.nan, np.i
     ids=["one-row", "crosses-write-blocks", "edge-values"],
 )
 def test_emitters_match_the_row_by_row_oracle(tmp_path, columns):
-    iterations = len(next(iter(columns.values())))
-    trace = MisalignmentTrace(traces=columns, iterations=iterations, trials=1)
+    trace = MisalignmentTrace(traces=columns, trials=1)
     emit_csv(trace, tmp_path / "trace.csv")
     emit_plot_data(trace, tmp_path / "trace.dat")
     # The one-pass call writes both files from one formatting of each block.
@@ -464,6 +493,19 @@ def test_main_wav_error_exit_code(tmp_path, capsys):
     assert "mono" in capsys.readouterr().err
 
 
+def test_wav_path_with_a_hash_is_rejected_before_the_output(tmp_path, capsys):
+    # The manifest echoes the resolved wav_path, where '#' would start a
+    # comment: the run could not be replayed from it.
+    directory = tmp_path / "hash#dir"
+    directory.mkdir()
+    save_wav(speech_like(200, SeededStream(3)), directory / "speech.wav")
+    config = write_config(directory, QUICK + "input = wav\nwav_path = speech.wav\n")
+    out = tmp_path / "o"
+    assert main(["--config", str(config), "--out", str(out)]) == 3
+    assert "bad value for 'wav_path'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_seed_override_applies(tmp_path):
     config = write_config(tmp_path, QUICK)
     out_a, out_b, out_c = (tmp_path / d for d in ("a", "b", "c"))
@@ -473,6 +515,22 @@ def test_main_seed_override_applies(tmp_path):
     assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
     assert (out_a / "trace.csv").read_bytes() != (out_c / "trace.csv").read_bytes()
     assert b"seed = 50" in (out_a / "manifest.txt").read_bytes()
+
+
+def test_main_trials_override_applies_and_round_trips(tmp_path, capsys):
+    config = write_config(tmp_path, QUICK.replace("trials = 2", "trials = 3"))
+    two = write_config(tmp_path, QUICK, name="two.cfg")
+    out, replay, direct = (tmp_path / d for d in ("out", "replay", "direct"))
+    assert main(["--config", str(config), "--out", str(out), "--trials", "2"]) == 0
+    assert "final misalignment (2 trials)" in capsys.readouterr().out
+    assert "trials = 2" in (out / "manifest.txt").read_text().splitlines()
+    assert main(["--config", str(two), "--out", str(direct), "--quiet"]) == 0
+    assert main(["--config", str(out / "manifest.txt"), "--out", str(replay), "--quiet"]) == 0
+    trace = (out / "trace.csv").read_bytes()
+    assert trace == (direct / "trace.csv").read_bytes() == (replay / "trace.csv").read_bytes()
+    assert main(["--config", str(config), "--out", str(tmp_path / "zero"), "--trials", "0"]) == 3
+    assert "trials must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "zero").exists()
 
 
 def test_help_documents_exit_codes(capsys):

@@ -25,6 +25,7 @@ from apsabench.filters import STEPPERS, FilterParams, FilterState, GainVariant
 from apsabench.harness import (
     MISALIGNMENT_FLOOR_DB,
     PATH_STREAM,
+    SWITCHED_PATH_STREAM,
     ExperimentConfig,
     _add_db,
     _run_batch,
@@ -40,7 +41,8 @@ ALL = ("apsa", "mip-apsa", "bs-mip-apsa")
 
 def reference_trial(config, trial_index):
     """Per-algorithm (dB trace, final weights) from the per-sample steppers."""
-    x, y = harness._realization(config, trial_index)
+    wav = load_wav(config.wav_path)[: config.iterations] if config.input_kind == "wav" else None
+    x, y = harness._realization(config, trial_index, wav)
     schedule = config.schedule
     k = schedule.switch_iteration
     out = {}
@@ -80,7 +82,7 @@ def make_config(
     initial = make_block_sparse(L, [(2, 6)], SeededStream(5, PATH_STREAM))
     switched = None
     if switch is not None:
-        switched = make_block_sparse(L, [(9, 6)], SeededStream(5, PATH_STREAM + 4))
+        switched = make_block_sparse(L, [(9, 6)], SeededStream(5, SWITCHED_PATH_STREAM))
     return ExperimentConfig(
         params=params,
         schedule=PathSchedule(initial=initial, switched=switched, switch_iteration=switch),
@@ -232,8 +234,8 @@ def test_nan_desired_sample_poisons_like_the_stepper(monkeypatch, trials):
     # A NaN must stay NaN through the zero-energy shortcut, as in the stepper.
     clean_realization = harness._realization
 
-    def poisoned(config, trial_index):
-        x, y = clean_realization(config, trial_index)
+    def poisoned(config, trial_index, wav):
+        x, y = clean_realization(config, trial_index, wav)
         y = y.copy()
         y[30] = np.nan
         return x, y
@@ -302,9 +304,10 @@ def test_wav_file_is_read_once_per_run(monkeypatch, tmp_path):
         np.testing.assert_allclose(ensemble.traces[name], expected, rtol=0.0, atol=1e-9)
 
 
-@pytest.mark.parametrize("stage", ["_input_signal", "_noise_record"])
+@pytest.mark.parametrize("stage", ["ar1_colored", "_noise_record"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_realization_is_rejected(monkeypatch, stage, bad):
+    # make_config's input is AR(1), so ar1_colored draws it.
     original = getattr(harness, stage)
 
     def poisoned(*args):
@@ -313,7 +316,7 @@ def test_non_finite_realization_is_rejected(monkeypatch, stage, bad):
         return out
 
     monkeypatch.setattr(harness, stage, poisoned)
-    name = "input" if stage == "_input_signal" else "desired signal"
+    name = "input" if stage == "ar1_colored" else "desired signal"
     with pytest.raises(ValueError, match=f"trial 0: the {name} has non-finite samples"):
         run_ensemble(make_config())
 

@@ -10,6 +10,7 @@ from apsabench.filters import FilterParams, GainVariant
 from apsabench.harness import (
     MISALIGNMENT_FLOOR_DB,
     PATH_STREAM,
+    SWITCHED_PATH_STREAM,
     ExperimentConfig,
     _clean_echo,
     misalignment_db,
@@ -97,7 +98,7 @@ def echo_cases(draw):
             st.none(), st.just(0), st.integers(1, max(1, n - 1)), st.integers(n, 2 * n)
         )
     )
-    switched = None if switch is None else path(PATH_STREAM + 4)
+    switched = None if switch is None else path(SWITCHED_PATH_STREAM)
     schedule = PathSchedule(path(PATH_STREAM), switched, switch)
     x = ar1_colored(n, draw(st.sampled_from([0.0, 0.8])), SeededStream(seed, 1))
     return x, schedule
@@ -187,7 +188,7 @@ def test_distinct_trials_differ():
 def test_switch_produces_misalignment_jump():
     L = 16
     initial = make_block_sparse(L, [(2, 4)], SeededStream(3, PATH_STREAM))
-    switched = make_block_sparse(L, [(10, 4)], SeededStream(3, PATH_STREAM + 4))
+    switched = make_block_sparse(L, [(10, 4)], SeededStream(3, SWITCHED_PATH_STREAM))
     schedule = PathSchedule(initial=initial, switched=switched, switch_iteration=150)
     trace = run_trial(small_config(schedule=schedule, iterations=200), 0)
     t = trace.traces["apsa"]
