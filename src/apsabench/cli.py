@@ -136,9 +136,9 @@ def _read_pairs(path) -> dict[str, str]:
             if not line:
                 continue
             key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{raw.strip()}'")
             key = key.strip().lower()
+            if not sep or not key:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{raw.strip()}'")
             if key in first_line:
                 raise ConfigError(
                     f"{path}:{lineno}: key '{key}' repeats line {first_line[key]}"

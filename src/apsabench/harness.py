@@ -49,7 +49,9 @@ MISALIGNMENT_FLOOR_DB = -300.0
 # and trial sums at once.  The budget is about what 1024 iterations of
 # per-trial misalignment took at 30 filters, so that many filters do not
 # raise the peak memory; it sets the chunk of every shipped config and
-# workload, from 2 rows (colored_input_tracking) to 512 (single_wav).
+# workload, from 2 rows (colored_input_tracking) to 170 (single_wav, whose
+# single filter at projection order 2 shares it with two table rows per
+# step).
 _HISTORY_BYTES = 256 * 1024
 
 INPUT_KINDS = ("white", "ar1", "wav")
@@ -236,11 +238,24 @@ def _run_batch(
     Each filter follows its per-sample stepper in ``filters.STEPPERS``; only
     the summation order of the dot products may differ.  The run's shape
     picks one of two loops.  One filter without a gain rule (APSA) over one
-    trial runs without batch axes and without gains or memory: 1-D and 2-D
-    arrays, its direction from the regressors, ``np.dot`` for the direction
-    and its energy (the same bits as ``np.matmul`` for these two products,
-    but cheaper to call), a step size in Python floats, and the weights read
-    from row views of the history made once per run.  Every other run
+    trial runs without batch axes and without gains or memory, on 1-D and
+    2-D arrays, with the weights read from row views of the history made
+    once per run.  Its general step forms the residuals, their signs, the
+    direction and its energy with numpy (``np.dot`` for the last two: the
+    same bits as ``np.matmul`` for these products, but cheaper to call) and
+    the step size in Python floats.  The error reaches the update only
+    through its signs, so at projection order M <= 2 the direction is a
+    row fixed by the input times +-1: x0 at M = 1, x0 + x1 or x0 - x1 at
+    M = 2.  Per chunk the loop lists these rows (x0 is a window; the pair
+    rows fill two tables that share the history's budget), their energies
+    and the desired samples as Python floats, and a step makes three numpy
+    calls: the error product, then w + (+-mu / sqrt(delta + r @ r)) * r.
+    These are the general step's bits: with signs in {-1, 0, 1} the
+    direction is one rounded sum of exact products, the same double as
+    x0 +- x1 but for the sign of a zero; the energies use the BLAS dot of
+    ``np.dot``; and (-r) * s is r * (-s).  M > 2, a sign 0 (a zero residual,
+    or a NaN one, which reads as neither sign) and an energy that
+    ``_step_scale`` must rescale take the general step.  Every other run
     takes the batched loop, where the algorithms differ only in their
     gains: one (A, T, L) slab holds them, all ones for APSA, and the newest
     row of the memory of gain-weighted regressors is that slab times the
@@ -265,20 +280,44 @@ def _run_batch(
     # Time runs along the first axis, so one plain slice serves every trial.
     windows = sliding_window_view(xs, L, axis=1).transpose(1, 0, 2)
     rules = [gain_rule(name, params) for name in config.algorithms]
+    mu, delta = params.step_size, params.update_regularizer
+    tiny, inf, root = float(_TINY), math.inf, math.sqrt
     single = rules == [None] and T == 1
     # The history holds the weights entering each iteration of a chunk: the
     # step of row k writes row k + 1.  At most _HISTORY_BYTES, plus the row
-    # that carries into the next chunk.
-    chunk = max(1, _HISTORY_BYTES // (A * T * L * 8))
+    # that carries into the next chunk; one filter at M = 2 shares the
+    # budget with two table rows per step.
+    table_rows = 2 if single and M == 2 else 0
+    chunk = max(1, _HISTORY_BYTES // ((A * T + table_rows) * L * 8))
     rows = min(N, chunk)
-    history = np.zeros((rows + 1, L) if single else (rows + 1, A, T, L))
     if single:
+        # The history rows, then the table rows, in one allocation: as three
+        # arrays they raised the peak memory of repeated runs in one process
+        # by about 0.3 MiB.
+        block = np.zeros((rows + 1 + table_rows * rows, L))
+        history = block[: rows + 1]
         windows, ys = windows[:, 0], ys[0]
-        errors, direction = np.empty(M), np.empty(L)
-        # The single filter reads its weights from views made once, not by
-        # indexing the history per step.
+        errors, direction, scale = np.empty(M), np.empty(L), np.empty(())
+        # The single filter reads its weights, and its table rows at M = 2,
+        # from views made once, not by indexing an array per step.
         weight_rows = list(history)
+        if M == 2:
+            pair_sums, pair_diffs = block[rows + 1 :].reshape(2, rows, L)
+            pair_rows = (list(pair_sums), list(pair_diffs))
+        # picks[s0][s1] (picks[s0] at M = 1) is the table and the signed mu
+        # of a step whose residuals have the signs s0 and s1, index -1
+        # standing for sign -1.  A sign 0, which a NaN residual also reads
+        # as, picks None.
+        if M == 1:
+            picks = [None, (0, mu), (0, -mu)]
+        elif M == 2:
+            picks = [
+                [None, None, None],
+                [None, (0, mu), (1, mu)],
+                [None, (1, -mu), (0, -mu)],
+            ]
     else:
+        history = np.zeros((rows + 1, A, T, L))
         # Gain-weighted regressors, newest first like xs: iteration k of a
         # chunk of K writes row p = K - 1 - k and reads rows p to p + M - 1,
         # and each chunk starts by carrying the newest M - 1 rows behind its
@@ -297,8 +336,6 @@ def _run_batch(
         energy = np.empty((A, T, 1, 1))
         energy_col, energy_flat = energy[..., 0], energy.reshape(-1)
         scale = np.empty((A, T, 1))
-    mu, delta = params.step_size, params.update_regularizer
-    tiny, inf, root = float(_TINY), math.inf, math.sqrt
 
     total = np.zeros((N, A))
     # An energy d @ d that overflows is handled by the step scale, and a
@@ -315,14 +352,50 @@ def _run_batch(
                 K = min(start + chunk, end) - start
                 newest = N - 1 - start
                 if single:
-                    # One APSA filter: 1-D products, and a step size in
-                    # Python floats whose first branch is _step_scale's
-                    # common case.
+                    if M <= 2:
+                        # With i = newest - k at step k: desired[k + M - 1 - j]
+                        # is ys[i + j] as a Python float; the table rows of
+                        # step k are x0 = windows[i] at M = 1, x0 + x1 and
+                        # x0 - x1 with x1 = windows[i + 1] at M = 2; and
+                        # energies[t][k] is table t's row energy r @ r by
+                        # _batch_dot's kernel, the BLAS dot of np.dot.
+                        lo = newest - K + 1
+                        desired = ys[lo : newest + M][::-1].tolist()
+                        x0 = windows[lo : newest + 1][::-1]
+                        if M == 2:
+                            x1 = windows[lo + 1 : newest + 2][::-1]
+                            filled = add(x0, x1, pair_sums[:K]), subtract(x0, x1, pair_diffs[:K])
+                            tables = pair_rows
+                        else:
+                            filled = tables = (x0,)
+                        energies = [_batch_dot(r, r).ravel().tolist() for r in filled]
                     for k in range(K):
                         i = newest - k
                         weights = weight_rows[k]
                         regressors = windows[i : i + M]
                         matmul(regressors, weights, errors)
+                        if M <= 2:
+                            # Residuals y - e in Python floats: the same IEEE
+                            # results as np.subtract.
+                            if M == 2:
+                                e0, e1 = errors.tolist()
+                                r0, r1 = desired[k + 1] - e0, desired[k] - e1
+                                pick = picks[(r0 > 0.0) - (r0 < 0.0)][(r1 > 0.0) - (r1 < 0.0)]
+                            else:
+                                r0 = desired[k] - errors.item()
+                                pick = picks[(r0 > 0.0) - (r0 < 0.0)]
+                            if pick:
+                                t, signed_mu = pick
+                                e = energies[t][k]
+                                if tiny <= e < inf:
+                                    # A 0-d array costs the ufunc less to
+                                    # read than a Python float.
+                                    scale[()] = signed_mu / root(delta + e)
+                                    multiply(tables[t][k], scale, direction)
+                                    add(weights, direction, weight_rows[k + 1])
+                                    continue
+                        # M > 2, a sign 0 and an energy that _step_scale
+                        # must rescale take the general step.
                         subtract(ys[i : i + M], errors, errors)
                         sign(errors, errors)
                         dot(errors, regressors, direction)

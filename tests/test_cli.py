@@ -87,6 +87,18 @@ def test_repeated_key_names_both_lines(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("line", ["mu 0.5", "= 5", "  =  "])
+def test_line_without_key_and_value_names_its_line(tmp_path, capsys, line):
+    # A line with no '=', or with nothing before it, names its line rather
+    # than reaching the unknown-key check with an empty name.
+    path = write_config(tmp_path, f"mu = 0.5\n{line}\n")
+    message = rf"run\.cfg:2: expected 'key = value', got '{line.strip()}'"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(path)
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "run.cfg:2: expected 'key = value'" in capsys.readouterr().err
+
+
 def test_bad_value_names_key(tmp_path):
     path = write_config(tmp_path, "iterations = soon\n")
     with pytest.raises(ConfigError, match="iterations"):
@@ -453,12 +465,21 @@ def test_pole_is_only_checked_for_ar1_input(tmp_path):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_main_diverging_run_exit_code(tmp_path, capsys):
-    # A huge step size sends the weights past double precision: the run
-    # must fail instead of writing inf and nan rows, and the NaN gains on
-    # the way there must not warn, so that the exit code, not a numpy
-    # warning turned into an error, reports the divergence.
-    config = write_config(tmp_path, QUICK.replace("mu = 0.02", "mu = 1e300"))
+@pytest.mark.parametrize(
+    "algorithms, trials",
+    [("apsa,mip-apsa,bs-mip-apsa", 2), ("apsa", 1)],
+    ids=["batched", "single-filter"],
+)
+def test_main_diverging_run_exit_code(tmp_path, capsys, algorithms, trials):
+    # A huge step size sends the weights, or their misalignment, past
+    # double precision: the run must fail instead of writing inf and nan
+    # rows, and the NaN gains on the way there must not warn, so that the
+    # exit code, not a numpy warning turned into an error, reports the
+    # divergence.  One APSA filter over one trial runs the single-filter
+    # loop.
+    text = QUICK.replace("mu = 0.02", "mu = 1e300").replace("trials = 2", f"trials = {trials}")
+    text += f"algorithms = {algorithms}\n"
+    config = write_config(tmp_path, text)
     out = tmp_path / "o"
     assert main(["--config", str(config), "--out", str(out)]) == 3
     assert "not finite" in capsys.readouterr().err

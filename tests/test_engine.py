@@ -17,17 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from apsabench import harness
 from apsabench.audio import load_wav, save_wav
-from apsabench.echo_path import PathSchedule, make_block_sparse
-from apsabench.filters import STEPPERS, FilterParams, FilterState, GainVariant
+from apsabench.echo_path import PathSchedule, make_block_sparse, phases
+from apsabench.filters import STEPPERS, FilterParams, FilterState, GainVariant, _step_scale
 from apsabench.harness import (
     MISALIGNMENT_FLOOR_DB,
     PATH_STREAM,
     SWITCHED_PATH_STREAM,
     ExperimentConfig,
     _add_db,
+    _batch_dot,
     _run_batch,
     misalignment_db,
     run_ensemble,
@@ -274,6 +276,76 @@ def test_single_filter_zero_directions_without_regularizer(tmp_path, algorithm):
     assert_matches_reference(config)
     trace = run_trial(config, 0).traces[algorithm]
     assert np.all(trace[:41] == 0.0)
+
+
+def single_loop_reference(config):
+    """Totals, final weights and the residual signs seen, for one APSA filter
+    over trial 0, by the single-filter statements that formed every step's
+    residuals, signs, direction and energy with numpy."""
+    params = config.params
+    L, M, N = params.filter_length, params.projection_order, config.iterations
+    wav = harness._wav_input(config) if config.input_kind == "wav" else None
+    x, y = harness._realization(config, 0, wav)
+    xs, ys = np.zeros(N + L + M - 2), np.zeros(N + M - 1)
+    xs[N - 1 :: -1], ys[N - 1 :: -1] = x, y
+    windows = sliding_window_view(xs, L)
+    history = np.zeros((N + 1, L))
+    errors, direction = np.empty(M), np.empty(L)
+    signs = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(N):
+            i = N - 1 - n
+            regressors = windows[i : i + M]
+            np.matmul(regressors, history[n], errors)
+            np.subtract(ys[i : i + M], errors, errors)
+            np.sign(errors, errors)
+            signs.add(tuple(errors[:2].tolist()))
+            np.dot(errors, regressors, direction)
+            energy = float(np.dot(direction, direction))
+            step, scaled = _step_scale(direction, energy, params.step_size,
+                                       params.update_regularizer)
+            np.add(history[n], np.multiply(scaled, step), history[n + 1])
+    total = np.zeros((N, 1))
+    for taps, first, end in phases(config.schedule, N):
+        diffs = taps - history[first:end]
+        squared = _batch_dot(diffs, diffs).reshape(-1, 1, 1)
+        _add_db(squared, _batch_dot(taps, taps), total[first:end])
+    return total, history[N], signs
+
+
+@pytest.mark.parametrize("regularizer", [0.0, 0.01])
+@pytest.mark.parametrize("projection_order", [1, 2, 3])
+def test_single_filter_loop_is_bitwise_the_numpy_statements(
+    monkeypatch, tmp_path, projection_order, regularizer
+):
+    # At M <= 2 the single-filter loop takes a step's direction and energy
+    # from per-chunk tables of regressor rows (x0, or x0 + x1 and x0 - x1);
+    # with signs in {-1, 0, 1} these are the same doubles as the numpy
+    # direction.  Runs of exact zeros in the input, without noise, give
+    # zero residuals: every sign pair, (0, 0) included.  With noise they
+    # give zero rows under nonzero signs.  A budget of 192 history rows
+    # (64 per chunk at M = 2, which keeps two table rows per step) makes
+    # 997 iterations end mid-chunk and the switch at 500 fall mid-chunk.
+    bursts = [speech_like(80, SeededStream(seed)) for seed in range(12)]
+    wav = tmp_path / "silences.wav"
+    save_wav(np.concatenate([np.concatenate([np.zeros(L + 9), b]) for b in bursts]), wav)
+    monkeypatch.setattr(harness, "_HISTORY_BYTES", 192 * L * 8)
+    for noise in (False, True):
+        config = make_config(
+            algorithms=("apsa",), trials=1, iterations=997, switch=500,
+            projection_order=projection_order, regularizer=regularizer,
+            input_kind="wav", wav_path=str(wav),
+        )
+        with monkeypatch.context() as mp:
+            if not noise:
+                mp.setattr(harness, "_noise_record", lambda clean, *args: np.zeros_like(clean))
+            total, weights = _run_batch(config, range(1))
+            ref_total, ref_weights, signs = single_loop_reference(config)
+        assert np.array_equal(total, ref_total), noise
+        assert np.array_equal(weights[0, 0], ref_weights), noise
+        if not noise:
+            expected = set(itertools.product((-1.0, 0.0, 1.0), repeat=min(projection_order, 2)))
+            assert signs == expected
 
 
 @pytest.mark.parametrize("rows", [1, 7])
