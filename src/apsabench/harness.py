@@ -244,22 +244,21 @@ def _run_batch(
     direction and its energy with numpy (``np.dot`` for the last two: the
     same bits as ``np.matmul`` for these products, but cheaper to call) and
     the step size in Python floats.  The error reaches the update only
-    through its signs, so at projection order M <= 2 the direction is a
-    row fixed by the input times +-1: x0 at M = 1, x0 + x1 or x0 - x1 at
-    M = 2.  Per chunk the loop lists these rows (x0 is a window; the pair
-    rows fill two tables that share the history's budget), their energies
-    and the desired samples as Python floats, and a step makes three numpy
-    calls: the error product, then w + (+-mu / sqrt(delta + r @ r)) * r.
-    These are the general step's bits: with signs in {-1, 0, 1} the
-    direction is one rounded sum of exact products, the same double as
-    x0 +- x1 but for the sign of a zero; the energies use the BLAS dot of
-    ``np.dot``; and (-r) * s is r * (-s).  M > 2, a sign 0 (a zero residual,
-    or a NaN one, which reads as neither sign) and an energy that
-    ``_step_scale`` must rescale take the general step.  Every other run
-    takes the batched loop, where the algorithms differ only in their
-    gains: one (A, T, L) slab holds them, all ones for APSA, and the newest
-    row of the memory of gain-weighted regressors is that slab times the
-    newest regressors.
+    through its signs, so at projection order M = 2 the direction is
+    x0 + x1 or x0 - x1 times +-1, rows fixed by the input.  Per chunk the
+    loop fills two tables with these rows (sharing the history's budget)
+    and lists their energies and the desired samples as Python floats, and
+    a step makes three numpy calls: the error product, then
+    w + (+-mu / sqrt(delta + r @ r)) * r.  These are the general step's
+    bits: with signs in {-1, 0, 1} the direction is one rounded sum of exact
+    products, the same double as x0 +- x1 but for the sign of a zero; the
+    energies use the BLAS dot of ``np.dot``; and (-r) * s is r * (-s).
+    M != 2, a sign 0 (a zero residual, or a NaN one, which reads as neither
+    sign) and an energy that ``_step_scale`` must rescale take the general
+    step.  Every other run takes the batched loop, where the algorithms
+    differ only in their gains: one (A, T, L) slab holds them, all ones for
+    APSA, and the newest row of the memory of gain-weighted regressors is
+    that slab times the newest regressors.
     """
     params = config.params
     L, M, N = params.filter_length, params.projection_order, config.iterations
@@ -303,14 +302,10 @@ def _run_batch(
         weight_rows = list(history)
         if M == 2:
             pair_sums, pair_diffs = block[rows + 1 :].reshape(2, rows, L)
-            pair_rows = (list(pair_sums), list(pair_diffs))
-        # picks[s0][s1] (picks[s0] at M = 1) is the table and the signed mu
-        # of a step whose residuals have the signs s0 and s1, index -1
-        # standing for sign -1.  A sign 0, which a NaN residual also reads
-        # as, picks None.
-        if M == 1:
-            picks = [None, (0, mu), (0, -mu)]
-        elif M == 2:
+            tables = (list(pair_sums), list(pair_diffs))
+            # picks[s0][s1] is the table and the signed mu of a step whose
+            # residuals have the signs s0 and s1, index -1 standing for sign
+            # -1.  A sign 0, which a NaN residual also reads as, picks None.
             picks = [
                 [None, None, None],
                 [None, (0, mu), (1, mu)],
@@ -352,38 +347,30 @@ def _run_batch(
                 K = min(start + chunk, end) - start
                 newest = N - 1 - start
                 if single:
-                    if M <= 2:
-                        # With i = newest - k at step k: desired[k + M - 1 - j]
+                    if M == 2:
+                        # With i = newest - k at step k: desired[k + 1 - j]
                         # is ys[i + j] as a Python float; the table rows of
-                        # step k are x0 = windows[i] at M = 1, x0 + x1 and
-                        # x0 - x1 with x1 = windows[i + 1] at M = 2; and
-                        # energies[t][k] is table t's row energy r @ r by
-                        # _batch_dot's kernel, the BLAS dot of np.dot.
+                        # step k are x0 + x1 and x0 - x1 with x0 = windows[i]
+                        # and x1 = windows[i + 1]; and energies[t][k] is
+                        # table t's row energy r @ r by _batch_dot's kernel,
+                        # the BLAS dot of np.dot.
                         lo = newest - K + 1
-                        desired = ys[lo : newest + M][::-1].tolist()
+                        desired = ys[lo : newest + 2][::-1].tolist()
                         x0 = windows[lo : newest + 1][::-1]
-                        if M == 2:
-                            x1 = windows[lo + 1 : newest + 2][::-1]
-                            filled = add(x0, x1, pair_sums[:K]), subtract(x0, x1, pair_diffs[:K])
-                            tables = pair_rows
-                        else:
-                            filled = tables = (x0,)
+                        x1 = windows[lo + 1 : newest + 2][::-1]
+                        filled = add(x0, x1, pair_sums[:K]), subtract(x0, x1, pair_diffs[:K])
                         energies = [_batch_dot(r, r).ravel().tolist() for r in filled]
                     for k in range(K):
                         i = newest - k
                         weights = weight_rows[k]
                         regressors = windows[i : i + M]
                         matmul(regressors, weights, errors)
-                        if M <= 2:
+                        if M == 2:
                             # Residuals y - e in Python floats: the same IEEE
                             # results as np.subtract.
-                            if M == 2:
-                                e0, e1 = errors.tolist()
-                                r0, r1 = desired[k + 1] - e0, desired[k] - e1
-                                pick = picks[(r0 > 0.0) - (r0 < 0.0)][(r1 > 0.0) - (r1 < 0.0)]
-                            else:
-                                r0 = desired[k] - errors.item()
-                                pick = picks[(r0 > 0.0) - (r0 < 0.0)]
+                            e0, e1 = errors.tolist()
+                            r0, r1 = desired[k + 1] - e0, desired[k] - e1
+                            pick = picks[(r0 > 0.0) - (r0 < 0.0)][(r1 > 0.0) - (r1 < 0.0)]
                             if pick:
                                 t, signed_mu = pick
                                 e = energies[t][k]
@@ -394,7 +381,7 @@ def _run_batch(
                                     multiply(tables[t][k], scale, direction)
                                     add(weights, direction, weight_rows[k + 1])
                                     continue
-                        # M > 2, a sign 0 and an energy that _step_scale
+                        # M != 2, a sign 0 and an energy that _step_scale
                         # must rescale take the general step.
                         subtract(ys[i : i + M], errors, errors)
                         sign(errors, errors)

@@ -318,8 +318,8 @@ def single_loop_reference(config):
 def test_single_filter_loop_is_bitwise_the_numpy_statements(
     monkeypatch, tmp_path, projection_order, regularizer
 ):
-    # At M <= 2 the single-filter loop takes a step's direction and energy
-    # from per-chunk tables of regressor rows (x0, or x0 + x1 and x0 - x1);
+    # At M = 2 the single-filter loop takes a step's direction and energy
+    # from per-chunk tables of regressor rows (x0 + x1 and x0 - x1);
     # with signs in {-1, 0, 1} these are the same doubles as the numpy
     # direction.  Runs of exact zeros in the input, without noise, give
     # zero residuals: every sign pair, (0, 0) included.  With noise they
