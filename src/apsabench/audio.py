@@ -15,8 +15,9 @@ def load_wav(path) -> np.ndarray:
     """Read a mono 16-bit PCM WAV file into samples in [-1, 1).
 
     Sample values map as value/32768, so -32768 becomes exactly -1.0.  Any
-    other channel count, sample width, or compression is rejected with a
-    format diagnostic; the sample rate is ignored.
+    other channel count, sample width, or compression, and data that ends
+    mid-sample, are rejected with a format diagnostic; the sample rate is
+    ignored.
     """
     try:
         with wave.open(str(path), "rb") as wav:
@@ -35,6 +36,8 @@ def load_wav(path) -> np.ndarray:
             frames = wav.readframes(wav.getnframes())
     except wave.Error as exc:
         raise WavFormatError(f"{path}: not a readable WAV file ({exc})") from exc
+    if len(frames) % 2:
+        raise WavFormatError(f"{path}: the data ends mid-sample ({len(frames)} bytes)")
     return np.frombuffer(frames, dtype="<i2").astype(np.float64) / 32768.0
 
 

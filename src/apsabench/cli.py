@@ -47,7 +47,7 @@ exit codes:
   2  command-line usage error
   3  config error (unknown key, bad value, violated constraint, a run that
      diverges or one too large for memory)
-  4  WAV format error (not mono 16-bit PCM)
+  4  WAV format error (not mono 16-bit PCM, or data cut mid-sample)
   5  I/O error (missing or unreadable/unwritable file)
 """
 
@@ -130,21 +130,23 @@ _SCHEMA: dict[str, tuple] = {
 def _read_pairs(path) -> dict[str, str]:
     pairs: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip().lower()
-            if not sep or not key:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{raw.strip()}'")
-            if key in first_line:
-                raise ConfigError(
-                    f"{path}:{lineno}: key '{key}' repeats line {first_line[key]}"
-                )
-            first_line[key] = lineno
-            pairs[key] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip().lower()
+        if not sep or not key:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got '{raw.strip()}'")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: key '{key}' repeats line {first_line[key]}")
+        first_line[key] = lineno
+        pairs[key] = value.strip()
     return pairs
 
 

@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from apsabench.audio import load_wav
 from apsabench.echo_path import PathSchedule, phases
-from apsabench.filters import _TINY, STEPPERS, FilterParams, _step_scale, gain_rule
+from apsabench.filters import _TINY, STEPPERS, FilterParams, gain_rule, normalized_update
 from apsabench.signals import (
     NoiseModel,
     SeededStream,
@@ -238,27 +238,28 @@ def _run_batch(
     Each filter follows its per-sample stepper in ``filters.STEPPERS``; only
     the summation order of the dot products may differ.  The run's shape
     picks one of two loops.  One filter without a gain rule (APSA) over one
-    trial runs without batch axes and without gains or memory, on 1-D and
-    2-D arrays, with the weights read from row views of the history made
-    once per run.  Its general step forms the residuals, their signs, the
-    direction and its energy with numpy (``np.dot`` for the last two: the
-    same bits as ``np.matmul`` for these products, but cheaper to call) and
-    the step size in Python floats.  The error reaches the update only
-    through its signs, so at projection order M = 2 the direction is
-    x0 + x1 or x0 - x1 times +-1, rows fixed by the input.  Per chunk the
-    loop fills two tables with these rows (sharing the history's budget)
-    and lists their energies and the desired samples as Python floats, and
-    a step makes three numpy calls: the error product, then
-    w + (+-mu / sqrt(delta + r @ r)) * r.  These are the general step's
-    bits: with signs in {-1, 0, 1} the direction is one rounded sum of exact
-    products, the same double as x0 +- x1 but for the sign of a zero; the
-    energies use the BLAS dot of ``np.dot``; and (-r) * s is r * (-s).
-    M != 2, a sign 0 (a zero residual, or a NaN one, which reads as neither
-    sign) and an energy that ``_step_scale`` must rescale take the general
-    step.  Every other run takes the batched loop, where the algorithms
-    differ only in their gains: one (A, T, L) slab holds them, all ones for
-    APSA, and the newest row of the memory of gain-weighted regressors is
-    that slab times the newest regressors.
+    trial at projection order M = 2 runs without batch axes and without
+    gains or memory, on 1-D and 2-D arrays, with the weights read from row
+    views of the history made once per run.  The error reaches the update
+    only through its signs, so the direction is x0 + x1 or x0 - x1 times
+    +-1, rows fixed by the input.  Per chunk the loop fills two tables with
+    these rows (sharing the history's budget) and lists their energies and
+    the desired samples as Python floats, and a step makes three numpy
+    calls: the error product, then w + (+-mu / sqrt(delta + r @ r)) * r.
+    These are the stepper's bits: with signs in {-1, 0, 1} the direction is
+    one rounded sum of exact products, the same double as x0 +- x1 but for
+    the sign of a zero; the energies use the BLAS dot of ``np.dot``, which
+    gives the same bits as ``np.matmul`` for these products; and (-r) * s
+    is r * (-s).  Every other run takes the batched loop, where the
+    algorithms differ only in their gains: one (A, T, L) slab holds them,
+    all ones for APSA, and the newest row of the memory of gain-weighted
+    regressors is that slab times the newest regressors; its step scale is
+    mu / sqrt(delta + e) for all filters at once.  A step that neither
+    loop's fast statements serve runs ``filters.normalized_update`` on the
+    numpy direction: in the single loop a residual whose sign is 0 (a zero
+    residual, or a NaN one, which reads as neither sign), and in either
+    loop a direction energy e that is 0, inf or below the smallest normal
+    float, which the batched loop then steps filter by filter.
     """
     params = config.params
     L, M, N = params.filter_length, params.projection_order, config.iterations
@@ -281,36 +282,34 @@ def _run_batch(
     rules = [gain_rule(name, params) for name in config.algorithms]
     mu, delta = params.step_size, params.update_regularizer
     tiny, inf, root = float(_TINY), math.inf, math.sqrt
-    single = rules == [None] and T == 1
+    single = rules == [None] and T == 1 and M == 2
     # The history holds the weights entering each iteration of a chunk: the
     # step of row k writes row k + 1.  At most _HISTORY_BYTES, plus the row
-    # that carries into the next chunk; one filter at M = 2 shares the
-    # budget with two table rows per step.
-    table_rows = 2 if single and M == 2 else 0
-    chunk = max(1, _HISTORY_BYTES // ((A * T + table_rows) * L * 8))
+    # that carries into the next chunk; the single filter shares the budget
+    # with two table rows per step.
+    chunk = max(1, _HISTORY_BYTES // ((3 if single else A * T) * L * 8))
     rows = min(N, chunk)
     if single:
         # The history rows, then the table rows, in one allocation: as three
         # arrays they raised the peak memory of repeated runs in one process
         # by about 0.3 MiB.
-        block = np.zeros((rows + 1 + table_rows * rows, L))
+        block = np.zeros((3 * rows + 1, L))
         history = block[: rows + 1]
+        pair_sums, pair_diffs = block[rows + 1 :].reshape(2, rows, L)
         windows, ys = windows[:, 0], ys[0]
         errors, direction, scale = np.empty(M), np.empty(L), np.empty(())
-        # The single filter reads its weights, and its table rows at M = 2,
-        # from views made once, not by indexing an array per step.
+        # The single filter reads its weights and table rows from views
+        # made once, not by indexing an array per step.
         weight_rows = list(history)
-        if M == 2:
-            pair_sums, pair_diffs = block[rows + 1 :].reshape(2, rows, L)
-            tables = (list(pair_sums), list(pair_diffs))
-            # picks[s0][s1] is the table and the signed mu of a step whose
-            # residuals have the signs s0 and s1, index -1 standing for sign
-            # -1.  A sign 0, which a NaN residual also reads as, picks None.
-            picks = [
-                [None, None, None],
-                [None, (0, mu), (1, mu)],
-                [None, (1, -mu), (0, -mu)],
-            ]
+        tables = (list(pair_sums), list(pair_diffs))
+        # picks[s0][s1] is the table and the signed mu of a step whose
+        # residuals have the signs s0 and s1, index -1 standing for sign -1.
+        # A sign 0, which a NaN residual also reads as, picks None.
+        picks = [
+            [None, None, None],
+            [None, (0, mu), (1, mu)],
+            [None, (1, -mu), (0, -mu)],
+        ]
     else:
         history = np.zeros((rows + 1, A, T, L))
         # Gain-weighted regressors, newest first like xs: iteration k of a
@@ -333,7 +332,7 @@ def _run_batch(
         scale = np.empty((A, T, 1))
 
     total = np.zeros((N, A))
-    # An energy d @ d that overflows is handled by the step scale, and a
+    # An energy d @ d that overflows is handled by normalized_update, and a
     # weight that has overflowed gives NaN gains: the run's finite check
     # reports that divergence, so numpy need not warn about either.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -347,52 +346,42 @@ def _run_batch(
                 K = min(start + chunk, end) - start
                 newest = N - 1 - start
                 if single:
-                    if M == 2:
-                        # With i = newest - k at step k: desired[k + 1 - j]
-                        # is ys[i + j] as a Python float; the table rows of
-                        # step k are x0 + x1 and x0 - x1 with x0 = windows[i]
-                        # and x1 = windows[i + 1]; and energies[t][k] is
-                        # table t's row energy r @ r by _batch_dot's kernel,
-                        # the BLAS dot of np.dot.
-                        lo = newest - K + 1
-                        desired = ys[lo : newest + 2][::-1].tolist()
-                        x0 = windows[lo : newest + 1][::-1]
-                        x1 = windows[lo + 1 : newest + 2][::-1]
-                        filled = add(x0, x1, pair_sums[:K]), subtract(x0, x1, pair_diffs[:K])
-                        energies = [_batch_dot(r, r).ravel().tolist() for r in filled]
+                    # With i = newest - k at step k: desired[k + 1 - j] is
+                    # ys[i + j] as a Python float; the table rows of step k
+                    # are x0 + x1 and x0 - x1 with x0 = windows[i] and
+                    # x1 = windows[i + 1]; and energies[t][k] is table t's
+                    # row energy r @ r by _batch_dot's kernel, the BLAS dot
+                    # of np.dot.
+                    lo = newest - K + 1
+                    desired = ys[lo : newest + 2][::-1].tolist()
+                    x0 = windows[lo : newest + 1][::-1]
+                    x1 = windows[lo + 1 : newest + 2][::-1]
+                    filled = add(x0, x1, pair_sums[:K]), subtract(x0, x1, pair_diffs[:K])
+                    energies = [_batch_dot(r, r).ravel().tolist() for r in filled]
                     for k in range(K):
                         i = newest - k
                         weights = weight_rows[k]
-                        regressors = windows[i : i + M]
+                        regressors = windows[i : i + 2]
                         matmul(regressors, weights, errors)
-                        if M == 2:
-                            # Residuals y - e in Python floats: the same IEEE
-                            # results as np.subtract.
-                            e0, e1 = errors.tolist()
-                            r0, r1 = desired[k + 1] - e0, desired[k] - e1
-                            pick = picks[(r0 > 0.0) - (r0 < 0.0)][(r1 > 0.0) - (r1 < 0.0)]
-                            if pick:
-                                t, signed_mu = pick
-                                e = energies[t][k]
-                                if tiny <= e < inf:
-                                    # A 0-d array costs the ufunc less to
-                                    # read than a Python float.
-                                    scale[()] = signed_mu / root(delta + e)
-                                    multiply(tables[t][k], scale, direction)
-                                    add(weights, direction, weight_rows[k + 1])
-                                    continue
-                        # M != 2, a sign 0 and an energy that _step_scale
-                        # must rescale take the general step.
-                        subtract(ys[i : i + M], errors, errors)
+                        # Residuals y - e in Python floats: the same IEEE
+                        # results as np.subtract.
+                        e0, e1 = errors.tolist()
+                        r0, r1 = desired[k + 1] - e0, desired[k] - e1
+                        pick = picks[(r0 > 0.0) - (r0 < 0.0)][(r1 > 0.0) - (r1 < 0.0)]
+                        if pick:
+                            t, signed_mu = pick
+                            e = energies[t][k]
+                            if tiny <= e < inf:
+                                # A 0-d array costs the ufunc less to read
+                                # than a Python float.
+                                scale[()] = signed_mu / root(delta + e)
+                                multiply(tables[t][k], scale, direction)
+                                add(weights, direction, weight_rows[k + 1])
+                                continue
+                        subtract(ys[i : i + 2], errors, errors)
                         sign(errors, errors)
                         dot(errors, regressors, direction)
-                        e = float(dot(direction, direction))
-                        if tiny <= e < inf:
-                            step = mu / root(delta + e)
-                        else:
-                            step, direction[:] = _step_scale(direction, e, mu, delta)
-                        multiply(direction, step, direction)
-                        add(weights, direction, weight_rows[k + 1])
+                        weight_rows[k + 1][:] = normalized_update(weights, direction, mu, delta)
                 else:
                     memory[..., K : K + M - 1, :] = memory[..., : M - 1, :]
                     for k in range(K):
@@ -408,35 +397,27 @@ def _run_batch(
                         multiply(gains, regressors[0], memory[..., p, :])
                         matmul(signs_rows, memory[..., p : p + M, :], direction_row)
                         matmul(direction_row, direction_col, energy)
-                        # The stepper's scale mu / sqrt(delta + e), unless
-                        # some energy e is 0, inf or below the smallest
-                        # normal float; NaN stays NaN either way.
+                        # Some energy 0, inf or below the smallest normal
+                        # float sends the step to normalized_update; NaN
+                        # stays NaN either way.
                         energies = energy_flat.tolist()
                         if tiny <= min(energies) and max(energies) < inf:
                             add(energy_col, delta, scale)
                             sqrt(scale, scale)
                             divide(mu, scale, scale)
+                            multiply(direction, scale, direction)
+                            add(weights, direction, history[k + 1])
                         else:
-                            _rescale_steps(direction, energies, mu, delta, scale)
-                        multiply(direction, scale, direction)
-                        add(weights, direction, history[k + 1])
+                            for a, t in np.ndindex(A, T):
+                                history[k + 1, a, t] = normalized_update(
+                                    weights[a, t], direction[a, t], mu, delta
+                                )
                 diffs = history[:K]
                 np.subtract(taps, diffs, diffs)
                 squared = _batch_dot(diffs, diffs).reshape(K, A, T)
                 _add_db(squared, taps_energy, total[start : start + K])
                 history[0] = history[K]
     return total, history[0].reshape(A, T, L).copy()
-
-
-def _rescale_steps(
-    direction: np.ndarray, energies: list[float], mu: float, delta: float, scale: np.ndarray
-) -> None:
-    """Step scales of every filter by the stepper's rule, one at a time, for
-    a step where some energy is 0, inf or below the smallest normal float;
-    the directions that the rule rescales are replaced."""
-    rows = direction.reshape(-1, direction.shape[-1])
-    for r, e in enumerate(energies):
-        scale.flat[r], rows[r] = _step_scale(rows[r], e, mu, delta)
 
 
 def run_trial(config: ExperimentConfig, trial_index: int) -> MisalignmentTrace:

@@ -254,6 +254,19 @@ def test_load_wav_rejects_garbage(tmp_path):
         load_wav(path)
 
 
+def test_main_truncated_wav_exit_code(tmp_path, capsys):
+    # A file cut mid-sample: its data holds an odd number of bytes.
+    whole = tmp_path / "whole.wav"
+    save_wav(speech_like(400, SeededStream(3)), whole)
+    cut = tmp_path / "cut.wav"
+    cut.write_bytes(whole.read_bytes()[:-1])
+    with pytest.raises(WavFormatError, match="cut.wav: the data ends mid-sample"):
+        load_wav(cut)
+    config = write_config(tmp_path, QUICK + f"input = wav\nwav_path = {cut.name}\n")
+    assert main(["--config", str(config), "--out", str(tmp_path / "o")]) == 4
+    assert "cut.wav" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- outputs
 
 
@@ -403,6 +416,15 @@ def test_main_missing_config_names_path(tmp_path, capsys):
     missing = tmp_path / "nope.cfg"
     assert main(["--config", str(missing), "--out", str(tmp_path / "o")]) == 5
     assert "nope.cfg" in capsys.readouterr().err
+
+
+def test_main_non_utf8_config_names_the_file(tmp_path, capsys):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes("# r\u00e9glage\n".encode("latin-1") + QUICK.encode())
+    with pytest.raises(ConfigError, match="latin1.cfg: not UTF-8 text"):
+        parse_config(config)
+    assert main(["--config", str(config), "--out", str(tmp_path / "o")]) == 3
+    assert "latin1.cfg" in capsys.readouterr().err
 
 
 def test_main_config_error_exit_code(tmp_path, capsys):

@@ -152,8 +152,8 @@ def test_engine_matches_steppers_for_one_algorithm(algorithm, trials):
 @pytest.mark.parametrize("projection_order", [1, 3])
 @pytest.mark.parametrize("algorithm", ALL)
 def test_engine_batch_of_one_matches_for_projection_order(algorithm, projection_order):
-    # One APSA filter runs the single-filter loop; the others a batch of
-    # shape (1, 1).
+    # The single-filter loop serves projection order 2 only: at orders 1
+    # and 3 every algorithm, APSA too, runs a batch of shape (1, 1).
     config = make_config(algorithms=(algorithm,), trials=1, projection_order=projection_order)
     assert_matches_reference(config)
 
@@ -202,14 +202,15 @@ def test_add_db_adds_trials_one_after_another(trials):
 def test_a_column_does_not_depend_on_the_other_algorithms(projection_order):
     # Each algorithm owns one row of the gain slab and of the memory, APSA's
     # rows holding unit gains: a run of any subset in the batched loop gives
-    # bitwise the columns and weights of the full run.  Over one trial, APSA
-    # alone runs the single-filter loop instead and is not compared.
+    # bitwise the columns and weights of the full run.  Over one trial at
+    # projection order 2, APSA alone runs the single-filter loop instead and
+    # is not compared.
     subsets = [s for r in (1, 2) for s in itertools.combinations(ALL, r)]
     for trials in (2, 1):
         config = make_config(trials=trials, projection_order=projection_order)
         full_total, full_weights = _run_batch(config, range(trials))
         for subset in subsets:
-            if trials == 1 and subset == ("apsa",):
+            if trials == 1 and subset == ("apsa",) and projection_order == 2:
                 continue
             sub = make_config(algorithms=subset, trials=trials, projection_order=projection_order)
             total, weights = _run_batch(sub, range(trials))
@@ -256,10 +257,9 @@ def test_nan_desired_sample_poisons_like_the_stepper(monkeypatch, trials):
 
 @pytest.mark.parametrize("trials", [1, 3])
 def test_apsa_alone_matches_steppers_at_projection_order_3(trials):
-    # Over several trials APSA alone runs the batched loop, whose memory
-    # rows are the regressors times unit gains.  Over one trial it runs the
-    # single-filter loop, which takes its direction from the regressor
-    # window and sums it in another order than the memory.
+    # APSA alone runs the batched loop at projection order 3, over one
+    # trial as over several: its memory rows are the regressors times unit
+    # gains.
     assert_matches_reference(make_config(algorithms=("apsa",), trials=trials, projection_order=3))
 
 
@@ -321,7 +321,9 @@ def test_single_filter_loop_is_bitwise_the_numpy_statements(
     # At M = 2 the single-filter loop takes a step's direction and energy
     # from per-chunk tables of regressor rows (x0 + x1 and x0 - x1);
     # with signs in {-1, 0, 1} these are the same doubles as the numpy
-    # direction.  Runs of exact zeros in the input, without noise, give
+    # direction.  A sign 0 runs normalized_update on that direction.  At
+    # M = 1 and 3 one APSA filter runs the batched loop, which must give
+    # the same bits.  Runs of exact zeros in the input, without noise, give
     # zero residuals: every sign pair, (0, 0) included.  With noise they
     # give zero rows under nonzero signs.  A budget of 192 history rows
     # (64 per chunk at M = 2, which keeps two table rows per step) makes
@@ -451,30 +453,41 @@ def test_steps_keep_norm_mu_at_extreme_input_scales(monkeypatch, scale):
     # norm mu whatever the input's scale.  At 1e-160 the direction energy
     # d @ d is subnormal, at 1e-162 it is 0 although d is not, and at 1e160
     # and 1e300 it overflows to inf.  The steppers are checked step by
-    # step; the batched engine (3 algorithms x 1 trial) and the single
-    # filter against their final weights.  The overflow is handled, so it
-    # must not warn either.
+    # step; the batched engine (3 algorithms x 1 trial), the single filter
+    # and a batch of 3 algorithms x 3 trials against their final weights.
+    # That batch's trial 0 is the extreme record and its trials 1 and 2 are
+    # at scale 1 and 1e-3, so its steps rescale some filters and not
+    # others.  The overflow is handled, so it must not warn either.
     rng = np.random.default_rng(3)
     n = 6
-    x = scale * rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.0, n)
-    y = scale * rng.standard_normal(n)
+    records = [
+        (s * rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.0, n), s * rng.standard_normal(n))
+        for s in (scale, 1.0, 1e-3)
+    ]
     config = make_config(trials=1, iterations=n, switch=None, regularizer=0.0)
     mu = config.params.step_size
     reference = {}
     for name in ALL:
-        state = FilterState.zeros(config.params)
-        for i in range(n):
-            before = state.weights.copy()
-            STEPPERS[name](state, config.params, x[i], y[i])
-            assert np.linalg.norm(state.weights - before) == pytest.approx(mu, rel=1e-12), (name, i)
-        reference[name] = state.weights
-    monkeypatch.setattr(harness, "_realization", lambda *args: (x, y))
+        for t, (x, y) in enumerate(records):
+            state = FilterState.zeros(config.params)
+            for i in range(n):
+                before = state.weights.copy()
+                STEPPERS[name](state, config.params, x[i], y[i])
+                step = np.linalg.norm(state.weights - before)
+                assert step == pytest.approx(mu, rel=1e-12), (name, t, i)
+            reference[name, t] = state.weights
+    monkeypatch.setattr(harness, "_realization", lambda config, t, wav: records[t])
     _, weights = _run_batch(config, range(1))
     singles = [
         _run_batch(make_config(algorithms=(name,), trials=1, iterations=n, switch=None,
                                regularizer=0.0), range(1))[1][0, 0]
         for name in ALL
     ]
+    _, mixed = _run_batch(
+        make_config(trials=3, iterations=n, switch=None, regularizer=0.0), range(3)
+    )
     for a, name in enumerate(ALL):
-        assert relative_gap(weights[a, 0], reference[name]) <= 1e-12, name
-        assert relative_gap(singles[a], reference[name]) <= 1e-12, name
+        assert relative_gap(weights[a, 0], reference[name, 0]) <= 1e-12, name
+        assert relative_gap(singles[a], reference[name, 0]) <= 1e-12, name
+        for t in range(3):
+            assert relative_gap(mixed[a, t], reference[name, t]) <= 1e-12, (name, t)
