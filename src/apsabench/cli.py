@@ -131,7 +131,7 @@ def _read_pairs(path) -> dict[str, str]:
     pairs: dict[str, str] = {}
     first_line: dict[str, int] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 # Bare names for the per-sample loop: it runs once per sample, and a module
 # attribute lookup per call is a measurable share of a small step.
-from numpy import add, divide, dot, einsum, matmul, multiply, sign, sqrt, subtract
+from numpy import add, dot, einsum, matmul, multiply, sign, subtract
 from numpy.lib.stride_tricks import sliding_window_view
 
 from apsabench.audio import load_wav
@@ -236,30 +236,36 @@ def _run_batch(
 
     All A x T filters advance together, one Python iteration per sample.
     Each filter follows its per-sample stepper in ``filters.STEPPERS``; only
-    the summation order of the dot products may differ.  The run's shape
+    the summation order of the dot products may differ.  Both loops work
+    out a step's scale mu / sqrt(delta + e), e the direction energy d @ d,
+    in Python floats, as ``filters._step_scale`` does.  The run's shape
     picks one of two loops.  One filter without a gain rule (APSA) over one
     trial at projection order M = 2 runs without batch axes and without
     gains or memory, on 1-D and 2-D arrays, with the weights read from row
     views of the history made once per run.  The error reaches the update
     only through its signs, so the direction is x0 + x1 or x0 - x1 times
     +-1, rows fixed by the input.  Per chunk the loop fills two tables with
-    these rows (sharing the history's budget) and lists their energies and
-    the desired samples as Python floats, and a step makes three numpy
-    calls: the error product, then w + (+-mu / sqrt(delta + r @ r)) * r.
-    These are the stepper's bits: with signs in {-1, 0, 1} the direction is
-    one rounded sum of exact products, the same double as x0 +- x1 but for
-    the sign of a zero; the energies use the BLAS dot of ``np.dot``, which
-    gives the same bits as ``np.matmul`` for these products; and (-r) * s
-    is r * (-s).  Every other run takes the batched loop, where the
-    algorithms differ only in their gains: one (A, T, L) slab holds them,
-    all ones for APSA, and the newest row of the memory of gain-weighted
-    regressors is that slab times the newest regressors; its step scale is
-    mu / sqrt(delta + e) for all filters at once.  A step that neither
-    loop's fast statements serve runs ``filters.normalized_update`` on the
-    numpy direction: in the single loop a residual whose sign is 0 (a zero
-    residual, or a NaN one, which reads as neither sign), and in either
-    loop a direction energy e that is 0, inf or below the smallest normal
-    float, which the batched loop then steps filter by filter.
+    these rows (sharing the history's budget), lists their energies and the
+    desired samples as Python floats, and multiplies each row r by its
+    scale, so that a table holds whole steps.  A step makes two numpy
+    calls: the error product, then w + s * r or w - s * r.  These are the
+    stepper's bits: with signs in {-1, 0, 1} the direction is one rounded
+    sum of exact products, the same double as x0 +- x1 but for the sign of
+    a zero; the energies use the BLAS dot of ``np.dot``, which gives the
+    same bits as ``np.matmul`` for these products; ``math.sqrt`` rounds
+    like ``np.sqrt``; and w + (-r) * s is w - r * s.  Every other run takes
+    the batched loop, where the algorithms differ only in their gains: one
+    (A, T, L) slab holds them, all ones for APSA, and the newest row of the
+    memory of gain-weighted regressors is that slab times the newest
+    regressors; it lists the A x T energies of a step and writes their
+    scales into one buffer.  A step that neither loop's fast statements
+    serve runs ``filters.normalized_update`` on the numpy direction: in the
+    single loop a residual whose sign is 0 (a zero residual, or a NaN one,
+    which reads as neither sign), and in either loop a direction energy e
+    that is 0, inf or below the smallest normal float, which the batched
+    loop then steps filter by filter.  When every direction of a batched
+    step is exactly zero, as in digital silence, no filter steps and the
+    weights are copied.
     """
     params = config.params
     L, M, N = params.filter_length, params.projection_order, config.iterations
@@ -295,20 +301,21 @@ def _run_batch(
         # by about 0.3 MiB.
         block = np.zeros((3 * rows + 1, L))
         history = block[: rows + 1]
-        pair_sums, pair_diffs = block[rows + 1 :].reshape(2, rows, L)
+        pairs = block[rows + 1 :].reshape(2, rows, L)
         windows, ys = windows[:, 0], ys[0]
-        errors, direction, scale = np.empty(M), np.empty(L), np.empty(())
+        errors = np.empty(M)
         # The single filter reads its weights and table rows from views
         # made once, not by indexing an array per step.
         weight_rows = list(history)
-        tables = (list(pair_sums), list(pair_diffs))
-        # picks[s0][s1] is the table and the signed mu of a step whose
-        # residuals have the signs s0 and s1, index -1 standing for sign -1.
-        # A sign 0, which a NaN residual also reads as, picks None.
+        tables = (list(pairs[0]), list(pairs[1]))
+        # picks[s0][s1] is the table and the ufunc, add or subtract, of a
+        # step whose residuals have the signs s0 and s1, index -1 standing
+        # for sign -1.  A sign 0, which a NaN residual also reads as, picks
+        # None.
         picks = [
             [None, None, None],
-            [None, (0, mu), (1, mu)],
-            [None, (1, -mu), (0, -mu)],
+            [None, (0, add), (1, add)],
+            [None, (1, subtract), (0, subtract)],
         ]
     else:
         history = np.zeros((rows + 1, A, T, L))
@@ -327,9 +334,9 @@ def _run_batch(
         # kernel, as (A, T) stacks of matrix products.
         signs_rows = errors.transpose(1, 2, 0)[..., None, :]
         direction_row, direction_col = direction[..., None, :], direction[..., None]
+        # Once the energies are listed, their buffer holds the step scales.
         energy = np.empty((A, T, 1, 1))
-        energy_col, energy_flat = energy[..., 0], energy.reshape(-1)
-        scale = np.empty((A, T, 1))
+        energy_flat, scale = energy.reshape(-1), energy[..., 0]
 
     total = np.zeros((N, A))
     # An energy d @ d that overflows is handled by normalized_update, and a
@@ -356,8 +363,14 @@ def _run_batch(
                     desired = ys[lo : newest + 2][::-1].tolist()
                     x0 = windows[lo : newest + 1][::-1]
                     x1 = windows[lo + 1 : newest + 2][::-1]
-                    filled = add(x0, x1, pair_sums[:K]), subtract(x0, x1, pair_diffs[:K])
+                    filled = add(x0, x1, pairs[0, :K]), subtract(x0, x1, pairs[1, :K])
                     energies = [_batch_dot(r, r).ravel().tolist() for r in filled]
+                    # Each table row r becomes its step mu / sqrt(delta +
+                    # r @ r) * r.  A row whose energy is out of range gets
+                    # 0.0, and no fast step reads it.
+                    scales = [[mu / root(delta + e) if tiny <= e < inf else 0.0 for e in es]
+                              for es in energies]
+                    multiply(pairs[:, :K], np.array(scales)[..., None], pairs[:, :K])
                     for k in range(K):
                         i = newest - k
                         weights = weight_rows[k]
@@ -369,18 +382,13 @@ def _run_batch(
                         r0, r1 = desired[k + 1] - e0, desired[k] - e1
                         pick = picks[(r0 > 0.0) - (r0 < 0.0)][(r1 > 0.0) - (r1 < 0.0)]
                         if pick:
-                            t, signed_mu = pick
-                            e = energies[t][k]
-                            if tiny <= e < inf:
-                                # A 0-d array costs the ufunc less to read
-                                # than a Python float.
-                                scale[()] = signed_mu / root(delta + e)
-                                multiply(tables[t][k], scale, direction)
-                                add(weights, direction, weight_rows[k + 1])
+                            t, step = pick
+                            if tiny <= energies[t][k] < inf:
+                                step(weights, tables[t][k], weight_rows[k + 1])
                                 continue
                         subtract(ys[i : i + 2], errors, errors)
                         sign(errors, errors)
-                        dot(errors, regressors, direction)
+                        direction = dot(errors, regressors)
                         weight_rows[k + 1][:] = normalized_update(weights, direction, mu, delta)
                 else:
                     memory[..., K : K + M - 1, :] = memory[..., : M - 1, :]
@@ -398,15 +406,17 @@ def _run_batch(
                         matmul(signs_rows, memory[..., p : p + M, :], direction_row)
                         matmul(direction_row, direction_col, energy)
                         # Some energy 0, inf or below the smallest normal
-                        # float sends the step to normalized_update; NaN
-                        # stays NaN either way.
+                        # float sends the step to normalized_update, unless
+                        # every direction is zero; NaN stays NaN either way.
                         energies = energy_flat.tolist()
                         if tiny <= min(energies) and max(energies) < inf:
-                            add(energy_col, delta, scale)
-                            sqrt(scale, scale)
-                            divide(mu, scale, scale)
+                            energy_flat[:] = [mu / root(delta + e) for e in energies]
                             multiply(direction, scale, direction)
                             add(weights, direction, history[k + 1])
+                        elif max(energies) == 0.0 and not direction.any():
+                            # Every direction is zero, as in digital
+                            # silence: no filter steps.
+                            history[k + 1] = weights
                         else:
                             for a, t in np.ndindex(A, T):
                                 history[k + 1, a, t] = normalized_update(

@@ -427,6 +427,17 @@ def test_main_non_utf8_config_names_the_file(tmp_path, capsys):
     assert "latin1.cfg" in capsys.readouterr().err
 
 
+def test_config_with_a_byte_order_mark_reads_its_first_key(tmp_path):
+    # Some editors start UTF-8 files with a byte-order mark, which must not
+    # stick to the first key.
+    plain = write_config(tmp_path, QUICK.lstrip())
+    marked = tmp_path / "bom.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    config = parse_config(marked)
+    assert config.params.filter_length == 16
+    assert config == parse_config(plain)
+
+
 def test_main_config_error_exit_code(tmp_path, capsys):
     config = write_config(tmp_path, "filter_length = 100\nblock_length = 7\n")
     assert main(["--config", str(config), "--out", str(tmp_path / "o")]) == 3

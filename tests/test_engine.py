@@ -22,7 +22,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from apsabench import harness
 from apsabench.audio import load_wav, save_wav
 from apsabench.echo_path import PathSchedule, make_block_sparse, phases
-from apsabench.filters import STEPPERS, FilterParams, FilterState, GainVariant, _step_scale
+from apsabench.filters import (
+    STEPPERS,
+    FilterParams,
+    FilterState,
+    GainVariant,
+    _step_scale,
+    normalized_update,
+)
 from apsabench.harness import (
     MISALIGNMENT_FLOOR_DB,
     PATH_STREAM,
@@ -171,6 +178,31 @@ def test_engine_matches_steppers_on_wav_input(tmp_path, trials):
             wav_path=str(wav), regularizer=0.0,
         )
         assert_matches_reference(config)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_batched_loop_copies_the_weights_over_digital_silence(monkeypatch, tmp_path, trials):
+    # A silent stretch longer than L + M makes every direction of a step
+    # exactly zero, in every filter at once since all trials read the same
+    # WAV: no filter steps, so the weights are copied, not passed filter by
+    # filter through normalized_update.
+    samples = np.concatenate(
+        [speech_like(150, SeededStream(9)), np.zeros(3 * L), speech_like(150, SeededStream(10))]
+    )
+    wav = tmp_path / "input.wav"
+    save_wav(samples, wav)
+    calls = []
+
+    def counting_update(*args):
+        calls.append(args)
+        return normalized_update(*args)
+
+    monkeypatch.setattr(harness, "normalized_update", counting_update)
+    config = make_config(
+        trials=trials, iterations=len(samples), switch=170, input_kind="wav", wav_path=str(wav)
+    )
+    assert_matches_reference(config)
+    assert calls == []
 
 
 @pytest.mark.parametrize("trials", [1, 3])
@@ -325,14 +357,17 @@ def test_single_filter_loop_is_bitwise_the_numpy_statements(
     # M = 1 and 3 one APSA filter runs the batched loop, which must give
     # the same bits.  Runs of exact zeros in the input, without noise, give
     # zero residuals: every sign pair, (0, 0) included.  With noise they
-    # give zero rows under nonzero signs.  A budget of 192 history rows
+    # give zero rows under nonzero signs.  Scaled to 1e-162, a table row's
+    # energy is 0, and scaled to 1e160 it is inf: such rows take
+    # normalized_update, which rescales them.  A budget of 192 history rows
     # (64 per chunk at M = 2, which keeps two table rows per step) makes
     # 997 iterations end mid-chunk and the switch at 500 fall mid-chunk.
     bursts = [speech_like(80, SeededStream(seed)) for seed in range(12)]
     wav = tmp_path / "silences.wav"
     save_wav(np.concatenate([np.concatenate([np.zeros(L + 9), b]) for b in bursts]), wav)
     monkeypatch.setattr(harness, "_HISTORY_BYTES", 192 * L * 8)
-    for noise in (False, True):
+    realization = harness._realization
+    for noise, scale in itertools.product((False, True), (1.0, 1e-162, 1e160)):
         config = make_config(
             algorithms=("apsa",), trials=1, iterations=997, switch=500,
             projection_order=projection_order, regularizer=regularizer,
@@ -341,10 +376,12 @@ def test_single_filter_loop_is_bitwise_the_numpy_statements(
         with monkeypatch.context() as mp:
             if not noise:
                 mp.setattr(harness, "_noise_record", lambda clean, *args: np.zeros_like(clean))
+            mp.setattr(harness, "_realization",
+                       lambda *args: tuple(scale * r for r in realization(*args)))
             total, weights = _run_batch(config, range(1))
             ref_total, ref_weights, signs = single_loop_reference(config)
-        assert np.array_equal(total, ref_total), noise
-        assert np.array_equal(weights[0, 0], ref_weights), noise
+        assert np.array_equal(total, ref_total), (noise, scale)
+        assert np.array_equal(weights[0, 0], ref_weights), (noise, scale)
         if not noise:
             expected = set(itertools.product((-1.0, 0.0, 1.0), repeat=min(projection_order, 2)))
             assert signs == expected
