@@ -82,6 +82,14 @@ def _parse_algorithms(text: str) -> tuple[str, ...]:
     )
 
 
+def _parse_gain_variant(text: str) -> GainVariant:
+    try:
+        return GainVariant(text.lower())
+    except ValueError:
+        choices = ", ".join(variant.value for variant in GainVariant)
+        raise ValueError(f"expected one of {choices}, got '{text}'") from None
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -107,7 +115,7 @@ _SCHEMA: dict[str, tuple] = {
     "alpha": (_finite_float, "0", "params.proportionate_mix"),
     "epsilon": (_finite_float, "0.01", "params.gain_regularizer"),
     "delta": (_finite_float, "0.01", "params.update_regularizer"),
-    "gain_variant": (GainVariant, "mip_consistent", "params.gain_variant"),
+    "gain_variant": (_parse_gain_variant, "mip_consistent", "params.gain_variant"),
     "algorithms": (_parse_algorithms, ",".join(STEPPERS), "algorithms"),
     "input": (str.lower, "ar1", "input_kind"),
     "pole": (_finite_float, "0.8", "pole"),

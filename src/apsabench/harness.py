@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 # Bare names for the per-sample loop: it runs once per sample, and a module
 # attribute lookup per call is a measurable share of a small step.
-from numpy import add, dot, einsum, matmul, multiply, sign, subtract
+from numpy import add, divide, dot, einsum, matmul, multiply, sign, sqrt, subtract
 from numpy.lib.stride_tricks import sliding_window_view
 
 from apsabench.audio import load_wav
@@ -236,36 +236,43 @@ def _run_batch(
 
     All A x T filters advance together, one Python iteration per sample.
     Each filter follows its per-sample stepper in ``filters.STEPPERS``; only
-    the summation order of the dot products may differ.  Both loops work
-    out a step's scale mu / sqrt(delta + e), e the direction energy d @ d,
-    in Python floats, as ``filters._step_scale`` does.  The run's shape
-    picks one of two loops.  One filter without a gain rule (APSA) over one
-    trial at projection order M = 2 runs without batch axes and without
-    gains or memory, on 1-D and 2-D arrays, with the weights read from row
-    views of the history made once per run.  The error reaches the update
-    only through its signs, so the direction is x0 + x1 or x0 - x1 times
-    +-1, rows fixed by the input.  Per chunk the loop fills two tables with
-    these rows (sharing the history's budget), lists their energies and the
-    desired samples as Python floats, and multiplies each row r by its
-    scale, so that a table holds whole steps.  A step makes two numpy
-    calls: the error product, then w + s * r or w - s * r.  These are the
+    the summation order of the dot products may differ.  Both loops scale a
+    step by mu / sqrt(delta + e), e the direction energy d @ d, with the
+    roundings of ``filters._step_scale``.  The run's shape picks one of two
+    loops.  One filter without a gain rule (APSA) over one trial at
+    projection order M = 2 runs without batch axes and without gains or
+    memory, on 1-D and 2-D arrays, with the weights read from row views of
+    the history made once per run.  The error reaches the update only
+    through its signs, so the direction is x0 + x1 or x0 - x1 times +-1,
+    rows fixed by the input.  Per chunk the loop fills two tables with these
+    rows (sharing the history's budget) and lists the desired samples as
+    Python floats.  It takes the energies e = r @ r of all the rows as one
+    array and marks once the rows with e in [tiny, inf), tiny the smallest
+    normal float; it scales those rows r in place by mu / sqrt(delta + e),
+    and every other row becomes ``filters.normalized_update`` of zero
+    weights along r, the stepper's own step, which rescales r or, for a
+    zero row, is zero.  So every row holds the step its signs select, and a
+    step whose two residual signs are nonzero makes two numpy calls: the
+    error product, then w + v or w - v for its row v.  These are the
     stepper's bits: with signs in {-1, 0, 1} the direction is one rounded
-    sum of exact products, the same double as x0 +- x1 but for the sign of
-    a zero; the energies use the BLAS dot of ``np.dot``, which gives the
-    same bits as ``np.matmul`` for these products; ``math.sqrt`` rounds
-    like ``np.sqrt``; and w + (-r) * s is w - r * s.  Every other run takes
-    the batched loop, where the algorithms differ only in their gains: one
-    (A, T, L) slab holds them, all ones for APSA, and the newest row of the
-    memory of gain-weighted regressors is that slab times the newest
-    regressors; it lists the A x T energies of a step and writes their
-    scales into one buffer.  A step that neither loop's fast statements
-    serve runs ``filters.normalized_update`` on the numpy direction: in the
-    single loop a residual whose sign is 0 (a zero residual, or a NaN one,
-    which reads as neither sign), and in either loop a direction energy e
-    that is 0, inf or below the smallest normal float, which the batched
-    loop then steps filter by filter.  When every direction of a batched
-    step is exactly zero, as in digital silence, no filter steps and the
-    weights are copied.
+    sum of exact products, the same double as x0 +- x1 but for the sign of a
+    zero; the energies use the BLAS dot of ``np.dot``, which gives the same
+    bits as ``np.matmul`` for these products; ``np.add``, ``np.sqrt`` and
+    ``np.divide`` round like Python floats; 0 + v is v; a row is rescaled
+    as r / c, c its largest magnitude, and (-r) / c is -(r / c); w + (-v)
+    is w - v; and the weights are never -0.0, so w + 0.0 is w.  Every other
+    run takes the batched loop, where the algorithms differ only in their
+    gains: one (A, T, L) slab holds them, all ones for APSA, and the newest
+    row of the memory of gain-weighted regressors is that slab times the
+    newest regressors; it lists the A x T energies of a step in Python
+    floats and writes their scales into one buffer.  A step that neither
+    loop's fast statements serve runs ``filters.normalized_update`` on the
+    numpy direction: in the single loop a residual whose sign is 0 (a zero
+    residual, or a NaN one, which reads as neither sign), and in the
+    batched loop a direction energy e that is 0, inf or below the smallest
+    normal float, which it then steps filter by filter.  When every
+    direction of a batched step is exactly zero, as in digital silence, no
+    filter steps and the weights are copied.
     """
     params = config.params
     L, M, N = params.filter_length, params.projection_order, config.iterations
@@ -303,7 +310,7 @@ def _run_batch(
         history = block[: rows + 1]
         pairs = block[rows + 1 :].reshape(2, rows, L)
         windows, ys = windows[:, 0], ys[0]
-        errors = np.empty(M)
+        errors, zeros = np.empty(M), np.zeros(L)
         # The single filter reads its weights and table rows from views
         # made once, not by indexing an array per step.
         weight_rows = list(history)
@@ -354,38 +361,38 @@ def _run_batch(
                 newest = N - 1 - start
                 if single:
                     # With i = newest - k at step k: desired[k + 1 - j] is
-                    # ys[i + j] as a Python float; the table rows of step k
-                    # are x0 + x1 and x0 - x1 with x0 = windows[i] and
-                    # x1 = windows[i + 1]; and energies[t][k] is table t's
-                    # row energy r @ r by _batch_dot's kernel, the BLAS dot
-                    # of np.dot.
+                    # ys[i + j] as a Python float, and the table rows of
+                    # step k are x0 + x1 and x0 - x1 with x0 = windows[i]
+                    # and x1 = windows[i + 1].
                     lo = newest - K + 1
                     desired = ys[lo : newest + 2][::-1].tolist()
                     x0 = windows[lo : newest + 1][::-1]
                     x1 = windows[lo + 1 : newest + 2][::-1]
-                    filled = add(x0, x1, pairs[0, :K]), subtract(x0, x1, pairs[1, :K])
-                    energies = [_batch_dot(r, r).ravel().tolist() for r in filled]
-                    # Each table row r becomes its step mu / sqrt(delta +
-                    # r @ r) * r.  A row whose energy is out of range gets
-                    # 0.0, and no fast step reads it.
-                    scales = [[mu / root(delta + e) if tiny <= e < inf else 0.0 for e in es]
-                              for es in energies]
-                    multiply(pairs[:, :K], np.array(scales)[..., None], pairs[:, :K])
+                    table = pairs[:, :K]
+                    add(x0, x1, table[0]), subtract(x0, x1, table[1])
+                    # Each row r becomes its step: mu / sqrt(delta + e) * r
+                    # for an energy e = r @ r in [tiny, inf), and otherwise
+                    # the stepper's own step from zero weights, which
+                    # rescales r or, for a zero row, is zero.
+                    e = _batch_dot(table, table)
+                    fast = (tiny <= e) & (e < inf)
+                    multiply(table, divide(mu, sqrt(delta + e), e, where=fast), table, where=fast)
+                    for t, k in np.argwhere(~fast[..., 0]):
+                        table[t, k] = normalized_update(zeros, table[t, k], mu, delta)
                     for k in range(K):
                         i = newest - k
                         weights = weight_rows[k]
                         regressors = windows[i : i + 2]
                         matmul(regressors, weights, errors)
-                        # Residuals y - e in Python floats: the same IEEE
+                        # Residuals in Python floats: the same IEEE
                         # results as np.subtract.
                         e0, e1 = errors.tolist()
                         r0, r1 = desired[k + 1] - e0, desired[k] - e1
                         pick = picks[(r0 > 0.0) - (r0 < 0.0)][(r1 > 0.0) - (r1 < 0.0)]
                         if pick:
                             t, step = pick
-                            if tiny <= energies[t][k] < inf:
-                                step(weights, tables[t][k], weight_rows[k + 1])
-                                continue
+                            step(weights, tables[t][k], weight_rows[k + 1])
+                            continue
                         subtract(ys[i : i + 2], errors, errors)
                         sign(errors, errors)
                         direction = dot(errors, regressors)

@@ -74,8 +74,6 @@ def ar1_colored(count: int, pole: float, stream: SeededStream) -> np.ndarray:
     if not -1.0 < pole < 1.0:
         raise ValueError(f"pole must satisfy |pole| < 1 for stability, got {pole}")
     white = white_gaussian(count, stream)
-    if pole == 0.0:
-        return white
     # The recursion in Python floats: the same arithmetic, sample by sample,
     # as a direct-form IIR filter with coefficients [1] / [1, -pole].
     pole, y = float(pole), 0.0

