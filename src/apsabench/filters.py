@@ -114,7 +114,7 @@ class FilterState:
 
 
 # Smallest normal float: an energy below it has lost precision.
-_TINY = np.finfo(np.float64).tiny
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def _block_gains(
@@ -232,40 +232,70 @@ def shift_memory(memory: np.ndarray, new_column: np.ndarray) -> np.ndarray:
 def normalized_update(
     weights: np.ndarray, direction: np.ndarray, step_size: float, update_regularizer: float
 ) -> np.ndarray:
-    """One normalized step along ``direction``.
+    """One normalized step along ``direction``, row by row.
 
-    The step norm is bounded by ``step_size`` (strictly, when the regularizer
-    is positive), which is the impulsive-noise robustness guarantee.  An
-    exactly zero direction is a no-op; that guard also covers running with a
-    zero regularizer.  Directions whose energy ``d @ d`` overflows or
-    underflows keep the step of norm ``step_size`` (see :func:`_step_scale`).
+    ``weights`` and ``direction`` are ``(..., L)``; each row steps by
+    ``step_size * d / sqrt(update_regularizer + d @ d)`` along its own
+    direction d.  The step norm is bounded by ``step_size`` (strictly, when
+    the regularizer is positive), which is the impulsive-noise robustness
+    guarantee.  An exactly zero direction is no step; that guard also covers
+    running with a zero regularizer, and when every direction is zero
+    ``weights`` itself is returned.  Directions whose energy ``d @ d``
+    overflows or underflows keep the step of norm ``step_size`` (see
+    :func:`_step_scale`).
     """
     # An energy that overflows to inf is handled by _step_scale.
     with np.errstate(over="ignore"):
-        energy = float(direction @ direction)
-    scale, direction = _step_scale(direction, energy, step_size, update_regularizer)
-    return weights if scale == 0.0 else weights + scale * direction
+        scale, direction = _step_scale(direction, step_size, update_regularizer)
+    return weights + scale * direction if scale.any() else weights
+
+
+def _batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Row-wise dot products over the last axis, kept as a length-1 axis.
+    return (a[..., None, :] @ b[..., :, None])[..., 0]
 
 
 def _step_scale(
-    direction: np.ndarray, energy: float, step_size: float, update_regularizer: float
-) -> tuple[float, np.ndarray]:
-    """Scale s and direction d whose product s * d is the normalized step.
+    direction: np.ndarray, step_size: float, update_regularizer: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scales s, shape ``(..., 1)``, and directions d, shape ``(..., L)``,
+    whose product s * d is the normalized step of each row of ``direction``.
 
-    ``energy`` is ``direction @ direction``.  Where it is inf, or below the
-    smallest normal float while the direction is not zero, d is the
-    direction divided by its largest magnitude c, and the regularizer is
-    divided by c**2: the step is the same, but its norm is computed from
-    normal floats.  An exactly zero direction gives s = 0.
+    This is the one step rule of the package.  A row whose energy
+    e = d @ d lies in [tiny, inf), tiny the smallest normal float, has
+    s = step_size / sqrt(update_regularizer + e), worked out with
+    ``np.add``, ``np.sqrt`` and ``np.divide``, which round like Python
+    floats.  An exactly zero row has s = 0.  Every other row (e is 0, below
+    tiny, inf or NaN while the row is not zero) is divided by its largest
+    magnitude c, and the regularizer by c**2: the step is the same, but its
+    norm is computed from normal floats.  The returned directions are
+    ``direction`` itself unless some row was rescaled; then they are a copy.
+    An energy that overflows warns unless the caller ignores overflow.
     """
-    if _TINY <= energy < math.inf:
-        return step_size / math.sqrt(update_regularizer + energy), direction
-    if energy == 0.0 and not direction.any():
-        return 0.0, direction
-    c = float(np.max(np.abs(direction)))
-    direction = direction / c
-    den = update_regularizer / c / c + float(direction @ direction)
-    return step_size / math.sqrt(den), direction
+    scale = _batch_dot(direction, direction)
+    energies = scale.reshape(-1).tolist()
+    # A NaN energy that min and max pass over gives a NaN scale, as the
+    # rescaling below would.
+    in_range = _TINY <= min(energies) and max(energies) < math.inf
+    fast = True if in_range else (_TINY <= scale) & (scale < math.inf)
+    np.add(update_regularizer, scale, scale, where=fast)
+    np.sqrt(scale, scale, where=fast)
+    np.divide(step_size, scale, scale, where=fast)
+    if in_range:
+        return scale, direction
+    # Out of range, a zero row keeps its energy 0 as its scale, and every
+    # other row is rescaled.
+    rescale = ~fast[..., 0] & direction.any(-1)
+    if rescale.any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = direction[rescale]
+            c = np.max(np.abs(rows), -1, keepdims=True)
+            rows /= c
+            den = update_regularizer / c / c + _batch_dot(rows, rows)
+            scale[rescale] = step_size / np.sqrt(den)
+        direction = direction.copy()
+        direction[rescale] = rows
+    return scale, direction
 
 
 def _push_sample(state: FilterState, x_new: float, y_new: float) -> None:

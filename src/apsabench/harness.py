@@ -17,12 +17,13 @@ from functools import partial
 import numpy as np
 # Bare names for the per-sample loop: it runs once per sample, and a module
 # attribute lookup per call is a measurable share of a small step.
-from numpy import add, divide, dot, einsum, matmul, multiply, sign, sqrt, subtract
+from numpy import add, dot, einsum, matmul, multiply, sign, subtract
 from numpy.lib.stride_tricks import sliding_window_view
 
 from apsabench.audio import load_wav
 from apsabench.echo_path import PathSchedule, phases
-from apsabench.filters import _TINY, STEPPERS, FilterParams, gain_rule, normalized_update
+from apsabench.filters import STEPPERS, FilterParams, gain_rule, normalized_update
+from apsabench.filters import _batch_dot, _step_scale
 from apsabench.signals import (
     NoiseModel,
     SeededStream,
@@ -208,11 +209,6 @@ def _realization(
     return x, y
 
 
-def _batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Row-wise dot products over the last axis, kept as a length-1 axis.
-    return (a[..., None, :] @ b[..., :, None])[..., 0]
-
-
 def _add_db(squared_errors: np.ndarray, den, total: np.ndarray) -> None:
     """Turn rows of |h - w|^2, shape (K, A, T), into dB in place and add
     them to ``total`` (K, A) one trial after another."""
@@ -236,43 +232,32 @@ def _run_batch(
 
     All A x T filters advance together, one Python iteration per sample.
     Each filter follows its per-sample stepper in ``filters.STEPPERS``; only
-    the summation order of the dot products may differ.  Both loops scale a
-    step by mu / sqrt(delta + e), e the direction energy d @ d, with the
-    roundings of ``filters._step_scale``.  The run's shape picks one of two
-    loops.  One filter without a gain rule (APSA) over one trial at
-    projection order M = 2 runs without batch axes and without gains or
-    memory, on 1-D and 2-D arrays, with the weights read from row views of
-    the history made once per run.  The error reaches the update only
-    through its signs, so the direction is x0 + x1 or x0 - x1 times +-1,
-    rows fixed by the input.  Per chunk the loop fills two tables with these
-    rows (sharing the history's budget) and lists the desired samples as
-    Python floats.  It takes the energies e = r @ r of all the rows as one
-    array and marks once the rows with e in [tiny, inf), tiny the smallest
-    normal float; it scales those rows r in place by mu / sqrt(delta + e),
-    and every other row becomes ``filters.normalized_update`` of zero
-    weights along r, the stepper's own step, which rescales r or, for a
-    zero row, is zero.  So every row holds the step its signs select, and a
-    step whose two residual signs are nonzero makes two numpy calls: the
-    error product, then w + v or w - v for its row v.  These are the
-    stepper's bits: with signs in {-1, 0, 1} the direction is one rounded
-    sum of exact products, the same double as x0 +- x1 but for the sign of a
-    zero; the energies use the BLAS dot of ``np.dot``, which gives the same
-    bits as ``np.matmul`` for these products; ``np.add``, ``np.sqrt`` and
-    ``np.divide`` round like Python floats; 0 + v is v; a row is rescaled
-    as r / c, c its largest magnitude, and (-r) / c is -(r / c); w + (-v)
-    is w - v; and the weights are never -0.0, so w + 0.0 is w.  Every other
-    run takes the batched loop, where the algorithms differ only in their
-    gains: one (A, T, L) slab holds them, all ones for APSA, and the newest
-    row of the memory of gain-weighted regressors is that slab times the
-    newest regressors; it lists the A x T energies of a step in Python
-    floats and writes their scales into one buffer.  A step that neither
-    loop's fast statements serve runs ``filters.normalized_update`` on the
-    numpy direction: in the single loop a residual whose sign is 0 (a zero
-    residual, or a NaN one, which reads as neither sign), and in the
-    batched loop a direction energy e that is 0, inf or below the smallest
-    normal float, which it then steps filter by filter.  When every
-    direction of a batched step is exactly zero, as in digital silence, no
-    filter steps and the weights are copied.
+    the summation order of the dot products may differ.  Every step takes
+    its scale from ``filters._step_scale``, the steppers' own rule, which
+    works row by row.  The run's shape picks one of two loops.  One filter
+    without a gain rule (APSA) over one trial at projection order M = 2
+    runs without batch axes and without gains or memory, on 1-D and 2-D
+    arrays, with the weights read from row views of the history made once
+    per run.  The error reaches the update only through its signs, so the
+    direction is x0 + x1 or x0 - x1 times +-1, rows fixed by the input.
+    Per chunk the loop fills two tables with these rows (sharing the
+    history's budget), lists the desired samples as Python floats, and
+    turns every row r into its step s * r by ``_step_scale``.  So a step
+    whose two residual signs are nonzero makes two numpy calls: the error
+    product, then w + v or w - v for its row v.  A step with a residual
+    sign 0 (a zero residual, or a NaN one, which reads as neither sign)
+    runs ``filters.normalized_update`` on the numpy direction.  These are
+    the stepper's bits: with signs in {-1, 0, 1} the direction is one
+    rounded sum of exact products, the same double as x0 +- x1 but for the
+    sign of a zero; a rescaled row is r / c, c its largest magnitude, and
+    (-r) / c is -(r / c); w + (-v) is w - v; and the weights are never
+    -0.0, so w + 0.0 is w.  Every other run takes the batched loop, where
+    the algorithms differ only in their gains: one (A, T, L) slab holds
+    them, all ones for APSA, and the newest row of the memory of
+    gain-weighted regressors is that slab times the newest regressors.  The
+    A x T directions of a step take their scales from one ``_step_scale``
+    call; a zero direction, as in digital silence, has scale 0, and
+    w + 0 * d is w.
     """
     params = config.params
     L, M, N = params.filter_length, params.projection_order, config.iterations
@@ -294,7 +279,6 @@ def _run_batch(
     windows = sliding_window_view(xs, L, axis=1).transpose(1, 0, 2)
     rules = [gain_rule(name, params) for name in config.algorithms]
     mu, delta = params.step_size, params.update_regularizer
-    tiny, inf, root = float(_TINY), math.inf, math.sqrt
     single = rules == [None] and T == 1 and M == 2
     # The history holds the weights entering each iteration of a chunk: the
     # step of row k writes row k + 1.  At most _HISTORY_BYTES, plus the row
@@ -310,7 +294,7 @@ def _run_batch(
         history = block[: rows + 1]
         pairs = block[rows + 1 :].reshape(2, rows, L)
         windows, ys = windows[:, 0], ys[0]
-        errors, zeros = np.empty(M), np.zeros(L)
+        errors = np.empty(M)
         # The single filter reads its weights and table rows from views
         # made once, not by indexing an array per step.
         weight_rows = list(history)
@@ -337,16 +321,12 @@ def _run_batch(
         ys = ys.T[:, None, :]
         errors = np.empty((M, A, T))
         direction = np.empty((A, T, L))
-        # Signs times memory rows, and the energies d @ d by _batch_dot's
-        # kernel, as (A, T) stacks of matrix products.
+        # Signs times memory rows as an (A, T) stack of matrix products.
         signs_rows = errors.transpose(1, 2, 0)[..., None, :]
-        direction_row, direction_col = direction[..., None, :], direction[..., None]
-        # Once the energies are listed, their buffer holds the step scales.
-        energy = np.empty((A, T, 1, 1))
-        energy_flat, scale = energy.reshape(-1), energy[..., 0]
+        direction_row = direction[..., None, :]
 
     total = np.zeros((N, A))
-    # An energy d @ d that overflows is handled by normalized_update, and a
+    # An energy d @ d that overflows is handled by _step_scale, and a
     # weight that has overflowed gives NaN gains: the run's finite check
     # reports that divergence, so numpy need not warn about either.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -370,15 +350,9 @@ def _run_batch(
                     x1 = windows[lo + 1 : newest + 2][::-1]
                     table = pairs[:, :K]
                     add(x0, x1, table[0]), subtract(x0, x1, table[1])
-                    # Each row r becomes its step: mu / sqrt(delta + e) * r
-                    # for an energy e = r @ r in [tiny, inf), and otherwise
-                    # the stepper's own step from zero weights, which
-                    # rescales r or, for a zero row, is zero.
-                    e = _batch_dot(table, table)
-                    fast = (tiny <= e) & (e < inf)
-                    multiply(table, divide(mu, sqrt(delta + e), e, where=fast), table, where=fast)
-                    for t, k in np.argwhere(~fast[..., 0]):
-                        table[t, k] = normalized_update(zeros, table[t, k], mu, delta)
+                    # Each row becomes the step it makes.
+                    scale, steps = _step_scale(table, mu, delta)
+                    multiply(steps, scale, table)
                     for k in range(K):
                         i = newest - k
                         weights = weight_rows[k]
@@ -411,24 +385,9 @@ def _run_batch(
                         p = K - 1 - k
                         multiply(gains, regressors[0], memory[..., p, :])
                         matmul(signs_rows, memory[..., p : p + M, :], direction_row)
-                        matmul(direction_row, direction_col, energy)
-                        # Some energy 0, inf or below the smallest normal
-                        # float sends the step to normalized_update, unless
-                        # every direction is zero; NaN stays NaN either way.
-                        energies = energy_flat.tolist()
-                        if tiny <= min(energies) and max(energies) < inf:
-                            energy_flat[:] = [mu / root(delta + e) for e in energies]
-                            multiply(direction, scale, direction)
-                            add(weights, direction, history[k + 1])
-                        elif max(energies) == 0.0 and not direction.any():
-                            # Every direction is zero, as in digital
-                            # silence: no filter steps.
-                            history[k + 1] = weights
-                        else:
-                            for a, t in np.ndindex(A, T):
-                                history[k + 1, a, t] = normalized_update(
-                                    weights[a, t], direction[a, t], mu, delta
-                                )
+                        scale, steps = _step_scale(direction, mu, delta)
+                        multiply(steps, scale, direction)
+                        add(weights, direction, history[k + 1])
                 diffs = history[:K]
                 np.subtract(taps, diffs, diffs)
                 squared = _batch_dot(diffs, diffs).reshape(K, A, T)

@@ -27,6 +27,7 @@ from apsabench.filters import (
     FilterParams,
     FilterState,
     GainVariant,
+    _batch_dot,
     _step_scale,
     normalized_update,
 )
@@ -36,7 +37,6 @@ from apsabench.harness import (
     SWITCHED_PATH_STREAM,
     ExperimentConfig,
     _add_db,
-    _batch_dot,
     _run_batch,
     misalignment_db,
     run_ensemble,
@@ -184,8 +184,8 @@ def test_engine_matches_steppers_on_wav_input(tmp_path, trials):
 def test_batched_loop_copies_the_weights_over_digital_silence(monkeypatch, tmp_path, trials):
     # A silent stretch longer than L + M makes every direction of a step
     # exactly zero, in every filter at once since all trials read the same
-    # WAV: no filter steps, so the weights are copied, not passed filter by
-    # filter through normalized_update.
+    # WAV.  Those steps take scale 0 from _step_scale like any other, and
+    # w + 0 * d is w: no filter is passed through normalized_update.
     samples = np.concatenate(
         [speech_like(150, SeededStream(9)), np.zeros(3 * L), speech_like(150, SeededStream(10))]
     )
@@ -313,7 +313,9 @@ def test_single_filter_zero_directions_without_regularizer(tmp_path, algorithm):
 def single_loop_reference(config):
     """Totals, final weights and the residual signs seen, for one APSA filter
     over trial 0, by the single-filter statements that formed every step's
-    residuals, signs, direction and energy with numpy."""
+    residuals, signs, direction and energy with numpy.  ``_step_scale``
+    takes the energy itself, by ``_batch_dot``; each step checks that it is
+    bitwise the BLAS dot of ``np.dot``."""
     params = config.params
     L, M, N = params.filter_length, params.projection_order, config.iterations
     wav = harness._wav_input(config) if config.input_kind == "wav" else None
@@ -333,9 +335,9 @@ def single_loop_reference(config):
             np.sign(errors, errors)
             signs.add(tuple(errors[:2].tolist()))
             np.dot(errors, regressors, direction)
-            energy = float(np.dot(direction, direction))
-            step, scaled = _step_scale(direction, energy, params.step_size,
-                                       params.update_regularizer)
+            energy = np.float64(np.dot(direction, direction)).tobytes()
+            assert _batch_dot(direction, direction).tobytes() == energy, n
+            step, scaled = _step_scale(direction, params.step_size, params.update_regularizer)
             np.add(history[n], np.multiply(scaled, step), history[n + 1])
     total = np.zeros((N, 1))
     for taps, first, end in phases(config.schedule, N):
@@ -358,8 +360,8 @@ def test_single_filter_loop_is_bitwise_the_numpy_statements(
     # the same bits.  Runs of exact zeros in the input, without noise, give
     # zero residuals: every sign pair, (0, 0) included.  With noise they
     # give zero rows under nonzero signs.  Scaled to 1e-162, a table row's
-    # energy is 0, and scaled to 1e160 it is inf: such rows take
-    # normalized_update, which rescales them.  A budget of 192 history rows
+    # energy is 0, and scaled to 1e160 it is inf: _step_scale rescales such
+    # rows, as it does the stepper's direction.  A budget of 192 history rows
     # (64 per chunk at M = 2, which keeps two table rows per step) makes
     # 997 iterations end mid-chunk and the switch at 500 fall mid-chunk.
     bursts = [speech_like(80, SeededStream(seed)) for seed in range(12)]

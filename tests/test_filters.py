@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -326,6 +327,58 @@ def test_normalized_update_strictly_bounded(d, mu, delta):
     # the strategy bounds guarantee.
     step = np.linalg.norm(normalized_update(np.zeros(4), d, mu, delta))
     assert step < mu
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.01])
+def test_normalized_update_steps_a_stack_row_by_row(delta):
+    # One (3, 2, L) stack holds rows at scale 1, exactly zero, 1e-162 (the
+    # energy is 0 although the row is not), 1e-160 (subnormal energy), 1e160
+    # (the energy overflows) and NaN: each row steps as it would alone.
+    rng = np.random.default_rng(4)
+    L = 8
+    base = rng.standard_normal(L)
+    poisoned = base.copy()
+    poisoned[3] = np.nan
+    direction = np.stack(
+        [base, np.zeros(L), 1e-162 * base, 1e-160 * base, 1e160 * base, poisoned]
+    ).reshape(3, 2, L)
+    weights = rng.standard_normal((3, 2, L))
+    out = normalized_update(weights, direction, 0.02, delta)
+    assert out.shape == (3, 2, L)
+    for i, j in np.ndindex(3, 2):
+        alone = normalized_update(weights[i, j], direction[i, j], 0.02, delta)
+        assert out[i, j].tobytes() == alone.tobytes(), (i, j)
+    assert normalized_update(weights, np.zeros((3, 2, L)), 0.02, delta) is weights
+
+
+# At delta > 0 and a direction below about 1e-155, delta / c**2 overflows in
+# the rescale and the step reads 0 instead of about mu * d / sqrt(delta).
+_REGULARIZER_OVERFLOWS = pytest.mark.xfail(
+    strict=True, reason="the rescale's delta / c**2 overflows, so the step reads 0"
+)
+
+
+@pytest.mark.parametrize(
+    "scale, delta",
+    [
+        *((s, 0.0) for s in (1.0, 1e-162, 1e-160, 1e160)),
+        *((s, 0.01) for s in (1.0, 1e-155, 1e160)),
+        pytest.param(1e-162, 0.01, marks=_REGULARIZER_OVERFLOWS),
+        pytest.param(1e-160, 0.01, marks=_REGULARIZER_OVERFLOWS),
+    ],
+)
+def test_normalized_update_matches_a_decimal_oracle(scale, delta):
+    # mu * d / sqrt(delta + d @ d) in 40 decimal digits, whose exponent
+    # range holds the energy at any of these scales.  At 1e-155 the energy
+    # is subnormal and the rescaled regularizer delta / c**2 still finite.
+    d = scale * np.random.default_rng(4).standard_normal(8)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        exact = [decimal.Decimal(float(x)) for x in d]
+        norm = (decimal.Decimal(delta) + sum(x * x for x in exact)).sqrt()
+        expected = [float(decimal.Decimal(0.02) * x / norm) for x in exact]
+    step = normalized_update(np.zeros(8), d, 0.02, delta)
+    np.testing.assert_allclose(step, expected, rtol=1e-14, atol=0.0)
 
 
 # -------------------------------------------------------------------- steppers
