@@ -113,7 +113,8 @@ class FilterState:
         )
 
 
-# Smallest normal float: an energy below it has lost precision.
+# Smallest normal float: a step denominator below it may have lost
+# precision.
 _TINY = float(np.finfo(np.float64).tiny)
 
 
@@ -241,13 +242,13 @@ def normalized_update(
     guarantee.  An exactly zero direction is no step; that guard also covers
     running with a zero regularizer, and when every direction is zero
     ``weights`` itself is returned.  Directions whose energy ``d @ d``
-    overflows or underflows keep the step of norm ``step_size`` (see
-    :func:`_step_scale`).
+    overflows or underflows still take this step (see :func:`_steps`).
     """
-    # An energy that overflows to inf is handled by _step_scale.
+    if not direction.any():
+        return weights
+    # An energy that overflows to inf is handled by _steps.
     with np.errstate(over="ignore"):
-        scale, direction = _step_scale(direction, step_size, update_regularizer)
-    return weights + scale * direction if scale.any() else weights
+        return weights + _steps(direction, step_size, update_regularizer)
 
 
 def _batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -255,47 +256,49 @@ def _batch_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0]
 
 
-def _step_scale(
-    direction: np.ndarray, step_size: float, update_regularizer: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scales s, shape ``(..., 1)``, and directions d, shape ``(..., L)``,
-    whose product s * d is the normalized step of each row of ``direction``.
+def _steps(
+    direction: np.ndarray,
+    step_size: float,
+    update_regularizer: float,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The normalized step s * d of each row d of ``direction``, shape
+    ``(..., L)``, written into ``out`` (which may be ``direction``).
 
-    This is the one step rule of the package.  A row whose energy
-    e = d @ d lies in [tiny, inf), tiny the smallest normal float, has
-    s = step_size / sqrt(update_regularizer + e), worked out with
-    ``np.add``, ``np.sqrt`` and ``np.divide``, which round like Python
-    floats.  An exactly zero row has s = 0.  Every other row (e is 0, below
-    tiny, inf or NaN while the row is not zero) is divided by its largest
-    magnitude c, and the regularizer by c**2: the step is the same, but its
-    norm is computed from normal floats.  The returned directions are
-    ``direction`` itself unless some row was rescaled; then they are a copy.
-    An energy that overflows warns unless the caller ignores overflow.
+    This is the one step rule of the package.  A row whose denominator
+    update_regularizer + e, e = d @ d, lies in [tiny, inf), tiny the
+    smallest normal float, has s = step_size / sqrt(update_regularizer + e),
+    worked out with ``np.add``, ``np.sqrt`` and ``np.divide``, which round
+    like Python floats.  At a regularizer of at least tiny that is every
+    finite row, zero rows included.  Otherwise an exactly zero row is no
+    step, and every other row (its energy inf or NaN, or its denominator
+    below tiny) is divided by its largest magnitude c, and the regularizer
+    by c**2: the step is the same, but its norm is computed from normal
+    floats.  An energy that overflows warns unless the caller ignores
+    overflow.
     """
     scale = _batch_dot(direction, direction)
-    energies = scale.reshape(-1).tolist()
-    # A NaN energy that min and max pass over gives a NaN scale, as the
+    np.add(update_regularizer, scale, scale)
+    denominators = scale.reshape(-1).tolist()
+    # A NaN denominator that min and max pass over gives a NaN step, as the
     # rescaling below would.
-    in_range = _TINY <= min(energies) and max(energies) < math.inf
-    fast = True if in_range else (_TINY <= scale) & (scale < math.inf)
-    np.add(update_regularizer, scale, scale, where=fast)
-    np.sqrt(scale, scale, where=fast)
-    np.divide(step_size, scale, scale, where=fast)
-    if in_range:
-        return scale, direction
-    # Out of range, a zero row keeps its energy 0 as its scale, and every
-    # other row is rescaled.
-    rescale = ~fast[..., 0] & direction.any(-1)
-    if rescale.any():
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = direction[rescale]
-            c = np.max(np.abs(rows), -1, keepdims=True)
-            rows /= c
-            den = update_regularizer / c / c + _batch_dot(rows, rows)
-            scale[rescale] = step_size / np.sqrt(den)
-        direction = direction.copy()
-        direction[rescale] = rows
-    return scale, direction
+    if not (_TINY <= min(denominators) and max(denominators) < math.inf):
+        # Out of range, a zero row takes the scale 0 (step_size / inf), and
+        # every other row is rescaled.
+        bad = ~((_TINY <= scale) & (scale < math.inf))
+        scale[bad] = math.inf
+        rescale = bad[..., 0] & direction.any(-1)
+        if rescale.any():
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = direction[rescale]
+                c = np.max(np.abs(rows), -1, keepdims=True)
+                rows /= c
+                scale[rescale] = update_regularizer / c / c + _batch_dot(rows, rows)
+            direction = direction.copy()
+            direction[rescale] = rows
+    np.sqrt(scale, scale)
+    np.divide(step_size, scale, scale)
+    return np.multiply(direction, scale, out)
 
 
 def _push_sample(state: FilterState, x_new: float, y_new: float) -> None:

@@ -22,8 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from apsabench.audio import load_wav
 from apsabench.echo_path import PathSchedule, phases
-from apsabench.filters import STEPPERS, FilterParams, gain_rule, normalized_update
-from apsabench.filters import _batch_dot, _step_scale
+from apsabench.filters import STEPPERS, FilterParams, _batch_dot, _steps, gain_rule
 from apsabench.signals import (
     NoiseModel,
     SeededStream,
@@ -232,8 +231,8 @@ def _run_batch(
 
     All A x T filters advance together, one Python iteration per sample.
     Each filter follows its per-sample stepper in ``filters.STEPPERS``; only
-    the summation order of the dot products may differ.  Every step takes
-    its scale from ``filters._step_scale``, the steppers' own rule, which
+    the summation order of the dot products may differ.  Every step is
+    w + ``filters._steps(d, mu, delta, d)``, the steppers' own rule, which
     works row by row.  The run's shape picks one of two loops.  One filter
     without a gain rule (APSA) over one trial at projection order M = 2
     runs without batch axes and without gains or memory, on 1-D and 2-D
@@ -242,11 +241,11 @@ def _run_batch(
     direction is x0 + x1 or x0 - x1 times +-1, rows fixed by the input.
     Per chunk the loop fills two tables with these rows (sharing the
     history's budget), lists the desired samples as Python floats, and
-    turns every row r into its step s * r by ``_step_scale``.  So a step
+    turns every row r into its step s * r by one ``_steps`` call.  So a step
     whose two residual signs are nonzero makes two numpy calls: the error
     product, then w + v or w - v for its row v.  A step with a residual
     sign 0 (a zero residual, or a NaN one, which reads as neither sign)
-    runs ``filters.normalized_update`` on the numpy direction.  These are
+    takes its step from ``_steps`` on the numpy direction.  These are
     the stepper's bits: with signs in {-1, 0, 1} the direction is one
     rounded sum of exact products, the same double as x0 +- x1 but for the
     sign of a zero; a rescaled row is r / c, c its largest magnitude, and
@@ -255,9 +254,9 @@ def _run_batch(
     the algorithms differ only in their gains: one (A, T, L) slab holds
     them, all ones for APSA, and the newest row of the memory of
     gain-weighted regressors is that slab times the newest regressors.  The
-    A x T directions of a step take their scales from one ``_step_scale``
-    call; a zero direction, as in digital silence, has scale 0, and
-    w + 0 * d is w.
+    A x T directions of a step become their steps in one ``_steps`` call;
+    a zero direction, as in digital silence, is a zero step, and w + 0 is
+    w.
     """
     params = config.params
     L, M, N = params.filter_length, params.projection_order, config.iterations
@@ -326,7 +325,7 @@ def _run_batch(
         direction_row = direction[..., None, :]
 
     total = np.zeros((N, A))
-    # An energy d @ d that overflows is handled by _step_scale, and a
+    # An energy d @ d that overflows is handled by _steps, and a
     # weight that has overflowed gives NaN gains: the run's finite check
     # reports that divergence, so numpy need not warn about either.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -351,8 +350,7 @@ def _run_batch(
                     table = pairs[:, :K]
                     add(x0, x1, table[0]), subtract(x0, x1, table[1])
                     # Each row becomes the step it makes.
-                    scale, steps = _step_scale(table, mu, delta)
-                    multiply(steps, scale, table)
+                    _steps(table, mu, delta, table)
                     for k in range(K):
                         i = newest - k
                         weights = weight_rows[k]
@@ -370,7 +368,7 @@ def _run_batch(
                         subtract(ys[i : i + 2], errors, errors)
                         sign(errors, errors)
                         direction = dot(errors, regressors)
-                        weight_rows[k + 1][:] = normalized_update(weights, direction, mu, delta)
+                        add(weights, _steps(direction, mu, delta, direction), weight_rows[k + 1])
                 else:
                     memory[..., K : K + M - 1, :] = memory[..., : M - 1, :]
                     for k in range(K):
@@ -385,9 +383,7 @@ def _run_batch(
                         p = K - 1 - k
                         multiply(gains, regressors[0], memory[..., p, :])
                         matmul(signs_rows, memory[..., p : p + M, :], direction_row)
-                        scale, steps = _step_scale(direction, mu, delta)
-                        multiply(steps, scale, direction)
-                        add(weights, direction, history[k + 1])
+                        add(weights, _steps(direction, mu, delta, direction), history[k + 1])
                 diffs = history[:K]
                 np.subtract(taps, diffs, diffs)
                 squared = _batch_dot(diffs, diffs).reshape(K, A, T)

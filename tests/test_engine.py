@@ -10,6 +10,7 @@ trial sums, so per-trial traces are checked through ``run_trial`` and the
 batch over trials through the ensemble mean.
 """
 
+import decimal
 import itertools
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
-from apsabench import harness
+from apsabench import filters, harness
 from apsabench.audio import load_wav, save_wav
 from apsabench.echo_path import PathSchedule, make_block_sparse, phases
 from apsabench.filters import (
@@ -28,7 +29,7 @@ from apsabench.filters import (
     FilterState,
     GainVariant,
     _batch_dot,
-    _step_scale,
+    _steps,
     normalized_update,
 )
 from apsabench.harness import (
@@ -106,8 +107,13 @@ def make_config(
 
 
 def relative_gap(a, b):
-    denom = max(np.linalg.norm(a), np.linalg.norm(b))
-    return 0.0 if denom == 0.0 else np.linalg.norm(a - b) / denom
+    # Divided by the largest magnitude first: the norm of a vector near
+    # 1e-163 would underflow to 0, and read as no gap at all.
+    c = max(np.max(np.abs(a)), np.max(np.abs(b)))
+    if c == 0.0:
+        return 0.0
+    a, b = a / c, b / c
+    return np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b))
 
 
 def assert_matches_reference(config):
@@ -180,29 +186,24 @@ def test_engine_matches_steppers_on_wav_input(tmp_path, trials):
         assert_matches_reference(config)
 
 
+@pytest.mark.parametrize("regularizer", [0.0, 0.01])
 @pytest.mark.parametrize("trials", [1, 3])
-def test_batched_loop_copies_the_weights_over_digital_silence(monkeypatch, tmp_path, trials):
+def test_engine_steps_through_digital_silence(tmp_path, trials, regularizer):
     # A silent stretch longer than L + M makes every direction of a step
     # exactly zero, in every filter at once since all trials read the same
-    # WAV.  Those steps take scale 0 from _step_scale like any other, and
-    # w + 0 * d is w: no filter is passed through normalized_update.
+    # WAV.  At delta = 0.01 such a step is the formula's mu * 0 / sqrt(delta);
+    # at delta = 0 its denominator is 0, and _steps gives the zero row no
+    # step.  Either way w + 0 is w.
     samples = np.concatenate(
         [speech_like(150, SeededStream(9)), np.zeros(3 * L), speech_like(150, SeededStream(10))]
     )
     wav = tmp_path / "input.wav"
     save_wav(samples, wav)
-    calls = []
-
-    def counting_update(*args):
-        calls.append(args)
-        return normalized_update(*args)
-
-    monkeypatch.setattr(harness, "normalized_update", counting_update)
     config = make_config(
-        trials=trials, iterations=len(samples), switch=170, input_kind="wav", wav_path=str(wav)
+        trials=trials, iterations=len(samples), switch=170, input_kind="wav",
+        wav_path=str(wav), regularizer=regularizer,
     )
     assert_matches_reference(config)
-    assert calls == []
 
 
 @pytest.mark.parametrize("trials", [1, 3])
@@ -313,8 +314,8 @@ def test_single_filter_zero_directions_without_regularizer(tmp_path, algorithm):
 def single_loop_reference(config):
     """Totals, final weights and the residual signs seen, for one APSA filter
     over trial 0, by the single-filter statements that formed every step's
-    residuals, signs, direction and energy with numpy.  ``_step_scale``
-    takes the energy itself, by ``_batch_dot``; each step checks that it is
+    residuals, signs, direction and energy with numpy.  ``_steps`` takes
+    the energy itself, by ``_batch_dot``; each step checks that it is
     bitwise the BLAS dot of ``np.dot``."""
     params = config.params
     L, M, N = params.filter_length, params.projection_order, config.iterations
@@ -337,8 +338,8 @@ def single_loop_reference(config):
             np.dot(errors, regressors, direction)
             energy = np.float64(np.dot(direction, direction)).tobytes()
             assert _batch_dot(direction, direction).tobytes() == energy, n
-            step, scaled = _step_scale(direction, params.step_size, params.update_regularizer)
-            np.add(history[n], np.multiply(scaled, step), history[n + 1])
+            step = _steps(direction, params.step_size, params.update_regularizer)
+            np.add(history[n], step, history[n + 1])
     total = np.zeros((N, 1))
     for taps, first, end in phases(config.schedule, N):
         diffs = taps - history[first:end]
@@ -355,15 +356,16 @@ def test_single_filter_loop_is_bitwise_the_numpy_statements(
     # At M = 2 the single-filter loop takes a step's direction and energy
     # from per-chunk tables of regressor rows (x0 + x1 and x0 - x1);
     # with signs in {-1, 0, 1} these are the same doubles as the numpy
-    # direction.  A sign 0 runs normalized_update on that direction.  At
-    # M = 1 and 3 one APSA filter runs the batched loop, which must give
+    # direction.  A sign 0 takes its step from _steps on that direction.
+    # At M = 1 and 3 one APSA filter runs the batched loop, which must give
     # the same bits.  Runs of exact zeros in the input, without noise, give
     # zero residuals: every sign pair, (0, 0) included.  With noise they
     # give zero rows under nonzero signs.  Scaled to 1e-162, a table row's
-    # energy is 0, and scaled to 1e160 it is inf: _step_scale rescales such
-    # rows, as it does the stepper's direction.  A budget of 192 history rows
-    # (64 per chunk at M = 2, which keeps two table rows per step) makes
-    # 997 iterations end mid-chunk and the switch at 500 fall mid-chunk.
+    # energy is 0, and scaled to 1e160 it is inf: _steps rescales a row
+    # whose delta + e is below tiny or inf, as it does the stepper's
+    # direction.  A budget of 192 history rows (64 per chunk at M = 2,
+    # which keeps two table rows per step) makes 997 iterations end
+    # mid-chunk and the switch at 500 fall mid-chunk.
     bursts = [speech_like(80, SeededStream(seed)) for seed in range(12)]
     wav = tmp_path / "silences.wav"
     save_wav(np.concatenate([np.concatenate([np.zeros(L + 9), b]) for b in bursts]), wav)
@@ -485,47 +487,81 @@ def test_large_finite_samples_keep_weights_finite_and_steps_bounded(
                 before = weights
 
 
-@pytest.mark.parametrize("scale", [1e-162, 1e-160, 1e160, 1e300])
-def test_steps_keep_norm_mu_at_extreme_input_scales(monkeypatch, scale):
-    # With no regularizer the normalized step is scale-free: every step has
-    # norm mu whatever the input's scale.  At 1e-160 the direction energy
-    # d @ d is subnormal, at 1e-162 it is 0 although d is not, and at 1e160
-    # and 1e300 it overflows to inf.  The steppers are checked step by
-    # step; the batched engine (3 algorithms x 1 trial), the single filter
-    # and a batch of 3 algorithms x 3 trials against their final weights.
-    # That batch's trial 0 is the extreme record and its trials 1 and 2 are
-    # at scale 1 and 1e-3, so its steps rescale some filters and not
-    # others.  The overflow is handled, so it must not warn either.
+def decimal_step(d, mu, delta):
+    """mu * d / sqrt(delta + d @ d) in 40 decimal digits, whose exponent
+    range holds the energy of any finite d."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        exact = [decimal.Decimal(float(x)) for x in d]
+        norm = (decimal.Decimal(delta) + sum(x * x for x in exact)).sqrt()
+        return np.array([float(decimal.Decimal(mu) * x / norm) for x in exact])
+
+
+def assert_steps_at_input_scale(monkeypatch, scale, regularizer):
+    """The steppers are checked step by step against the decimal step of
+    their direction; the batched engine (3 algorithms x 1 trial), the single
+    filter and a batch of 3 algorithms x 3 trials against their final
+    weights.  That batch's trial 0 is the record at ``scale`` and its trials
+    1 and 2 are at scale 1 and 1e-3, so in one step some filters may take
+    the rescale and others not."""
     rng = np.random.default_rng(3)
     n = 6
     records = [
         (s * rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.0, n), s * rng.standard_normal(n))
         for s in (scale, 1.0, 1e-3)
     ]
-    config = make_config(trials=1, iterations=n, switch=None, regularizer=0.0)
+    config = make_config(trials=1, iterations=n, switch=None, regularizer=regularizer)
     mu = config.params.step_size
+    directions = []
+
+    def recording_update(weights, direction, *args):
+        directions.append(direction)
+        return normalized_update(weights, direction, *args)
+
     reference = {}
-    for name in ALL:
-        for t, (x, y) in enumerate(records):
-            state = FilterState.zeros(config.params)
-            for i in range(n):
-                before = state.weights.copy()
-                STEPPERS[name](state, config.params, x[i], y[i])
-                step = np.linalg.norm(state.weights - before)
-                assert step == pytest.approx(mu, rel=1e-12), (name, t, i)
-            reference[name, t] = state.weights
+    with monkeypatch.context() as mp:
+        mp.setattr(filters, "normalized_update", recording_update)
+        for name in ALL:
+            for t, (x, y) in enumerate(records):
+                state = FilterState.zeros(config.params)
+                for i in range(n):
+                    before = state.weights.copy()
+                    STEPPERS[name](state, config.params, x[i], y[i])
+                    step = state.weights - before
+                    expected = decimal_step(directions[-1], mu, regularizer)
+                    assert relative_gap(step, expected) <= 1e-12, (name, t, i)
+                    if regularizer == 0.0:
+                        assert np.linalg.norm(step) == pytest.approx(mu, rel=1e-12), (name, t, i)
+                reference[name, t] = state.weights
     monkeypatch.setattr(harness, "_realization", lambda config, t, wav: records[t])
     _, weights = _run_batch(config, range(1))
     singles = [
         _run_batch(make_config(algorithms=(name,), trials=1, iterations=n, switch=None,
-                               regularizer=0.0), range(1))[1][0, 0]
+                               regularizer=regularizer), range(1))[1][0, 0]
         for name in ALL
     ]
     _, mixed = _run_batch(
-        make_config(trials=3, iterations=n, switch=None, regularizer=0.0), range(3)
+        make_config(trials=3, iterations=n, switch=None, regularizer=regularizer), range(3)
     )
     for a, name in enumerate(ALL):
         assert relative_gap(weights[a, 0], reference[name, 0]) <= 1e-12, name
         assert relative_gap(singles[a], reference[name, 0]) <= 1e-12, name
         for t in range(3):
             assert relative_gap(mixed[a, t], reference[name, t]) <= 1e-12, (name, t)
+
+
+@pytest.mark.parametrize("scale", [1e-162, 1e-160, 1e160, 1e300])
+def test_steps_keep_norm_mu_at_extreme_input_scales(monkeypatch, scale):
+    # With no regularizer the normalized step is scale-free: every step has
+    # norm mu whatever the input's scale.  At 1e-160 the direction energy
+    # d @ d is subnormal, at 1e-162 it is 0 although d is not, and at 1e160
+    # and 1e300 it overflows to inf; _steps rescales all of these.  The
+    # overflow is handled, so it must not warn either.
+    assert_steps_at_input_scale(monkeypatch, scale, 0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-162, 1e-160])
+def test_steps_move_at_tiny_input_scales_with_a_regularizer(monkeypatch, scale):
+    # At delta = 0.01, delta + d @ d is delta to rounding, so every step is
+    # about mu * d / sqrt(delta): small, but not 0.  No row is rescaled.
+    assert_steps_at_input_scale(monkeypatch, scale, 0.01)

@@ -351,26 +351,19 @@ def test_normalized_update_steps_a_stack_row_by_row(delta):
     assert normalized_update(weights, np.zeros((3, 2, L)), 0.02, delta) is weights
 
 
-# At delta > 0 and a direction below about 1e-155, delta / c**2 overflows in
-# the rescale and the step reads 0 instead of about mu * d / sqrt(delta).
-_REGULARIZER_OVERFLOWS = pytest.mark.xfail(
-    strict=True, reason="the rescale's delta / c**2 overflows, so the step reads 0"
-)
-
-
 @pytest.mark.parametrize(
     "scale, delta",
     [
         *((s, 0.0) for s in (1.0, 1e-162, 1e-160, 1e160)),
-        *((s, 0.01) for s in (1.0, 1e-155, 1e160)),
-        pytest.param(1e-162, 0.01, marks=_REGULARIZER_OVERFLOWS),
-        pytest.param(1e-160, 0.01, marks=_REGULARIZER_OVERFLOWS),
+        *((s, 0.01) for s in (1.0, 1e-155, 1e160, 1e-162, 1e-160)),
     ],
 )
 def test_normalized_update_matches_a_decimal_oracle(scale, delta):
     # mu * d / sqrt(delta + d @ d) in 40 decimal digits, whose exponent
-    # range holds the energy at any of these scales.  At 1e-155 the energy
-    # is subnormal and the rescaled regularizer delta / c**2 still finite.
+    # range holds the energy at any of these scales.  At delta = 0 the
+    # energies below 1e-154 and above 1e154 take the rescale; at delta =
+    # 0.01 only the overflowing one does, and from 1e-155 down, where the
+    # energy is subnormal or 0, delta + e is delta to rounding.
     d = scale * np.random.default_rng(4).standard_normal(8)
     with decimal.localcontext() as ctx:
         ctx.prec = 40
