@@ -127,20 +127,30 @@ def _block_gains(
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gains of ``(..., L)`` weights, written into ``out`` (C-contiguous),
-    which is allocated when not given."""
+    which is allocated when not given.
+
+    One pass per block: each block norm becomes its share with one divide
+    and its gain with the floor added once per block; at block length > 1
+    the block's gain is then copied to its taps.  A row of all-zero weights with a zero regularizer, whose
+    share would be 0/0, counts every block norm as 1 and its denominator as
+    ``scale * n_blocks`` before the divide, so it takes the uniform share.
+    That keeps the gain-sum identities and the degenerate-case reductions
+    exact.
+    """
     L = weights.shape[-1]
     n_blocks = L // block_length
     lead = weights.shape[:-1]
     if out is None:
         out = np.empty(weights.shape)
+    # gains holds the block norms, then their shares, then the block gains.
     if block_length == 1:
         # A length-1 block norm is |h| exactly; sqrt(h*h) would be a detour.
-        norms = np.abs(weights, out)
+        gains = np.abs(weights, out)
     else:
         blocks = weights.reshape(lead + (n_blocks, block_length))
-        norms = np.einsum("...ij,...ij->...i", blocks, blocks)
-        np.sqrt(norms, norms)
-    denom = np.add.reduce(norms, -1, keepdims=True)
+        gains = np.einsum("...ij,...ij->...i", blocks, blocks)
+        np.sqrt(gains, gains)
+    denom = np.add.reduce(gains, -1, keepdims=True)
     if variant is GainVariant.BLOCK_BALANCED:
         floor = (1.0 - proportionate_mix) / (2.0 * n_blocks)
     else:
@@ -148,22 +158,16 @@ def _block_gains(
     scale = 2.0 * n_blocks if variant is GainVariant.AS_PRINTED else 2.0
     np.multiply(denom, scale, denom)
     np.add(denom, gain_regularizer, denom)
-    zero = None
     if gain_regularizer == 0.0 and not denom.all():
-        # All-zero weights with a zero regularizer: the proportionate share is
-        # 0/0.  Use the uniform share (every block norm equal), which keeps
-        # the gain-sum identities and the degenerate-case reductions exact.
         zero = denom[..., 0] == 0.0
-        denom[zero] = 1.0
+        gains[zero] = 1.0
+        denom[zero] = scale * n_blocks
     if proportionate_mix != 0.0:  # 1.0 * x is x
-        np.multiply(norms, 1.0 + proportionate_mix, norms)
-    shares = np.divide(norms, denom, norms)
-    if zero is not None:
-        shares[zero] = (1.0 + proportionate_mix) / (scale * n_blocks)
-    if block_length == 1:
-        return np.add(shares, floor, out)
-    # Each tap of a block gets the block's gain.
-    np.add(shares[..., None], floor, out.reshape(lead + (n_blocks, block_length)))
+        np.multiply(gains, 1.0 + proportionate_mix, gains)
+    np.divide(gains, denom, gains)
+    np.add(gains, floor, gains)
+    if block_length > 1:
+        out.reshape(lead + (n_blocks, block_length))[...] = gains[..., None]
     return out
 
 
@@ -197,10 +201,12 @@ def bs_gains(
 ) -> np.ndarray:
     """Per-block proportionate gains, constant within each block.
 
-    The share of block k is proportional to its Euclidean norm.  With
-    ``block_length == 1`` and the MIP_CONSISTENT variant this is exactly
-    :func:`ip_gains`.  Like :func:`ip_gains`, it takes ``(..., L)`` weights
-    and an optional ``out``.
+    The share of block k is proportional to its Euclidean norm; the floor is
+    added to it once per block, and the block's gain is then copied to its
+    taps.  All-zero weights with a zero regularizer take the uniform share,
+    as if every block norm were equal.  With ``block_length == 1`` and the
+    MIP_CONSISTENT variant this is exactly :func:`ip_gains`.  Like
+    :func:`ip_gains`, it takes ``(..., L)`` weights and an optional ``out``.
     """
     L = weights.shape[-1]
     if block_length < 1 or L % block_length != 0:
@@ -272,10 +278,10 @@ def _steps(
     like Python floats.  At a regularizer of at least tiny that is every
     finite row, zero rows included.  Otherwise an exactly zero row is no
     step, and every other row (its energy inf or NaN, or its denominator
-    below tiny) is divided by its largest magnitude c, and the regularizer
-    by c**2: the step is the same, but its norm is computed from normal
-    floats.  An energy that overflows warns unless the caller ignores
-    overflow.
+    below tiny) is divided by m = max(c, sqrt(update_regularizer)), c its
+    largest magnitude, and the regularizer by m**2, which cannot overflow:
+    the step is the same, but its norm is computed from normal floats.
+    An energy that overflows warns unless the caller ignores overflow.
     """
     scale = _batch_dot(direction, direction)
     np.add(update_regularizer, scale, scale)
@@ -291,7 +297,9 @@ def _steps(
         if rescale.any():
             with np.errstate(over="ignore", invalid="ignore"):
                 rows = direction[rescale]
+                # With c at least sqrt(delta), delta / c / c cannot overflow.
                 c = np.max(np.abs(rows), -1, keepdims=True)
+                np.maximum(c, math.sqrt(update_regularizer), out=c)
                 rows /= c
                 scale[rescale] = update_regularizer / c / c + _batch_dot(rows, rows)
             direction = direction.copy()

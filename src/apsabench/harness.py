@@ -248,15 +248,15 @@ def _run_batch(
     takes its step from ``_steps`` on the numpy direction.  These are
     the stepper's bits: with signs in {-1, 0, 1} the direction is one
     rounded sum of exact products, the same double as x0 +- x1 but for the
-    sign of a zero; a rescaled row is r / c, c its largest magnitude, and
-    (-r) / c is -(r / c); w + (-v) is w - v; and the weights are never
-    -0.0, so w + 0.0 is w.  Every other run takes the batched loop, where
-    the algorithms differ only in their gains: one (A, T, L) slab holds
-    them, all ones for APSA, and the newest row of the memory of
-    gain-weighted regressors is that slab times the newest regressors.  The
-    A x T directions of a step become their steps in one ``_steps`` call;
-    a zero direction, as in digital silence, is a zero step, and w + 0 is
-    w.
+    sign of a zero; a rescaled row is r / m, m its largest magnitude or
+    sqrt(delta) if larger, and (-r) / m is -(r / m); w + (-v) is w - v;
+    and the weights are never -0.0, so w + 0.0 is w.  Every other run takes
+    the batched loop, where the algorithms differ only in their gains: one
+    (A, T, L) slab holds them, all ones for APSA, and the newest row of the
+    memory of gain-weighted regressors is that slab times the newest
+    regressors.  The A x T directions of a step become their steps in one
+    ``_steps`` call; a zero direction, as in digital silence, is a zero
+    step, and w + 0 is w.
     """
     params = config.params
     L, M, N = params.filter_length, params.projection_order, config.iterations

@@ -221,7 +221,7 @@ def allocating_block_gains(weights, block_length, mix, eps, variant):
 def test_block_gains_into_buffers_match_the_allocating_rule(variant, block_length, mix, eps):
     # The engine writes each algorithm's gains into its row of one slab; a
     # slab full of NaN from an earlier call must not leak into the gains.
-    # Zero rows take the 0/0 branch when eps is 0.
+    # Zero rows take the uniform share when eps is 0.
     rng = np.random.default_rng(block_length)
     for shape in [(12,), (3, 12), (2, 3, 12)]:
         w = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 1e3], shape[:-1] + (1,))
@@ -329,26 +329,36 @@ def test_normalized_update_strictly_bounded(d, mu, delta):
     assert step < mu
 
 
-@pytest.mark.parametrize("delta", [0.0, 0.01])
+@pytest.mark.parametrize("delta", [0.0, 0.01, 1e-310])
 def test_normalized_update_steps_a_stack_row_by_row(delta):
-    # One (3, 2, L) stack holds rows at scale 1, exactly zero, 1e-162 (the
+    # One (4, 2, L) stack holds rows at scale 1, exactly zero, 1e-162 (the
     # energy is 0 although the row is not), 1e-160 (subnormal energy), 1e160
-    # (the energy overflows) and NaN: each row steps as it would alone.
+    # (the energy overflows), NaN, 1e-320 (below the square root of a
+    # subnormal delta) and 1e-3: each row steps as it would alone.
     rng = np.random.default_rng(4)
     L = 8
     base = rng.standard_normal(L)
     poisoned = base.copy()
     poisoned[3] = np.nan
     direction = np.stack(
-        [base, np.zeros(L), 1e-162 * base, 1e-160 * base, 1e160 * base, poisoned]
-    ).reshape(3, 2, L)
-    weights = rng.standard_normal((3, 2, L))
+        [
+            base,
+            np.zeros(L),
+            1e-162 * base,
+            1e-160 * base,
+            1e160 * base,
+            poisoned,
+            1e-320 * base,
+            1e-3 * base,
+        ]
+    ).reshape(4, 2, L)
+    weights = rng.standard_normal((4, 2, L))
     out = normalized_update(weights, direction, 0.02, delta)
-    assert out.shape == (3, 2, L)
-    for i, j in np.ndindex(3, 2):
+    assert out.shape == (4, 2, L)
+    for i, j in np.ndindex(4, 2):
         alone = normalized_update(weights[i, j], direction[i, j], 0.02, delta)
         assert out[i, j].tobytes() == alone.tobytes(), (i, j)
-    assert normalized_update(weights, np.zeros((3, 2, L)), 0.02, delta) is weights
+    assert normalized_update(weights, np.zeros((4, 2, L)), 0.02, delta) is weights
 
 
 @pytest.mark.parametrize(
@@ -356,6 +366,10 @@ def test_normalized_update_steps_a_stack_row_by_row(delta):
     [
         *((s, 0.0) for s in (1.0, 1e-162, 1e-160, 1e160)),
         *((s, 0.01) for s in (1.0, 1e-155, 1e160, 1e-162, 1e-160)),
+        (1e-310, 2e-308),
+        (1e-320, 1e-310),
+        (1e-315, 1e-315),
+        (1e-323, 1e-320),
     ],
 )
 def test_normalized_update_matches_a_decimal_oracle(scale, delta):
@@ -363,7 +377,10 @@ def test_normalized_update_matches_a_decimal_oracle(scale, delta):
     # range holds the energy at any of these scales.  At delta = 0 the
     # energies below 1e-154 and above 1e154 take the rescale; at delta =
     # 0.01 only the overflowing one does, and from 1e-155 down, where the
-    # energy is subnormal or 0, delta + e is delta to rounding.
+    # energy is subnormal or 0, delta + e is delta to rounding.  A subnormal
+    # delta sends every row whose energy is below tiny to the rescale; a row
+    # below sqrt(delta) is divided by sqrt(delta), not by its largest
+    # magnitude, so delta / c**2 is about 1 and does not overflow.
     d = scale * np.random.default_rng(4).standard_normal(8)
     with decimal.localcontext() as ctx:
         ctx.prec = 40
