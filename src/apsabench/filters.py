@@ -310,13 +310,11 @@ def _steps(
 
 
 def _push_sample(state: FilterState, x_new: float, y_new: float) -> None:
-    # The newest regressor is the previous one delayed by one tap with the
-    # fresh sample on top; histories shift one column right.
-    x_vec = np.empty_like(state.weights)
-    x_vec[0] = x_new
-    x_vec[1:] = state.regressors[:-1, 0]
+    # Histories shift one column right, in place; the newest regressor is
+    # then the previous one delayed by one tap with the fresh sample on top.
     state.regressors[:, 1:] = state.regressors[:, :-1]
-    state.regressors[:, 0] = x_vec
+    state.regressors[1:, 0] = state.regressors[:-1, 0]
+    state.regressors[0, 0] = x_new
     state.desired[1:] = state.desired[:-1]
     state.desired[0] = y_new
 

@@ -242,13 +242,14 @@ def _run_batch(
     Per chunk the loop fills two tables with these rows (sharing the
     history's budget), lists the desired samples as Python floats, and
     turns every row r into its step s * r by one ``_steps`` call.  So a step
-    whose two residual signs are nonzero makes two numpy calls: the error
-    product, then w + v or w - v for its row v.  A step with a residual
-    sign 0 (a zero residual, or a NaN one, which reads as neither sign)
-    takes its step from ``_steps`` on the numpy direction.  These are
-    the stepper's bits: with signs in {-1, 0, 1} the direction is one
-    rounded sum of exact products, the same double as x0 +- x1 but for the
-    sign of a zero; a rescaled row is r / m, m its largest magnitude or
+    whose two residual signs s0 and s1 are nonzero makes two numpy calls:
+    the error product, then w + v (s0 = 1) or w - v (s0 = -1), v its row of
+    the x0 + x1 table if s0 = s1 and of the x0 - x1 table if not.  A step
+    with a residual sign 0 (a zero residual, or a NaN one, which reads as
+    neither sign) takes its step from ``_steps`` on the numpy direction.
+    These are the stepper's bits: with signs in {-1, 0, 1} the direction is
+    one rounded sum of exact products, the same double as x0 +- x1 but for
+    the sign of a zero; a rescaled row is r / m, m its largest magnitude or
     sqrt(delta) if larger, and (-r) / m is -(r / m); w + (-v) is w - v;
     and the weights are never -0.0, so w + 0.0 is w.  Every other run takes
     the batched loop, where the algorithms differ only in their gains: one
@@ -285,30 +286,16 @@ def _run_batch(
     # with two table rows per step.
     chunk = max(1, _HISTORY_BYTES // ((3 if single else A * T) * L * 8))
     rows = min(N, chunk)
+    history = np.zeros((rows + 1, A, T, L))
     if single:
-        # The history rows, then the table rows, in one allocation: as three
-        # arrays they raised the peak memory of repeated runs in one process
-        # by about 0.3 MiB.
-        block = np.zeros((3 * rows + 1, L))
-        history = block[: rows + 1]
-        pairs = block[rows + 1 :].reshape(2, rows, L)
         windows, ys = windows[:, 0], ys[0]
         errors = np.empty(M)
+        pairs = np.zeros((2, rows, L))
         # The single filter reads its weights and table rows from views
         # made once, not by indexing an array per step.
-        weight_rows = list(history)
+        weight_rows = list(history.reshape(rows + 1, L))
         tables = (list(pairs[0]), list(pairs[1]))
-        # picks[s0][s1] is the table and the ufunc, add or subtract, of a
-        # step whose residuals have the signs s0 and s1, index -1 standing
-        # for sign -1.  A sign 0, which a NaN residual also reads as, picks
-        # None.
-        picks = [
-            [None, None, None],
-            [None, (0, add), (1, add)],
-            [None, (1, subtract), (0, subtract)],
-        ]
     else:
-        history = np.zeros((rows + 1, A, T, L))
         # Gain-weighted regressors, newest first like xs: iteration k of a
         # chunk of K writes row p = K - 1 - k and reads rows p to p + M - 1,
         # and each chunk starts by carrying the newest M - 1 rows behind its
@@ -360,10 +347,11 @@ def _run_batch(
                         # results as np.subtract.
                         e0, e1 = errors.tolist()
                         r0, r1 = desired[k + 1] - e0, desired[k] - e1
-                        pick = picks[(r0 > 0.0) - (r0 < 0.0)][(r1 > 0.0) - (r1 < 0.0)]
-                        if pick:
-                            t, step = pick
-                            step(weights, tables[t][k], weight_rows[k + 1])
+                        s0, s1 = (r0 > 0.0) - (r0 < 0.0), (r1 > 0.0) - (r1 < 0.0)
+                        if s0 and s1:
+                            # s0 (x0 + x1) when the signs agree, else s0 (x0 - x1).
+                            step = add if s0 == 1 else subtract
+                            step(weights, tables[s0 != s1][k], weight_rows[k + 1])
                             continue
                         subtract(ys[i : i + 2], errors, errors)
                         sign(errors, errors)

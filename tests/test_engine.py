@@ -394,9 +394,10 @@ def test_single_filter_loop_is_bitwise_the_numpy_statements(
 @pytest.mark.parametrize("rows", [1, 7])
 @pytest.mark.parametrize("algorithms, trials", [(ALL, 3), (("apsa",), 1)])
 def test_engine_with_a_small_weight_history(monkeypatch, rows, algorithms, trials):
-    # A budget of 7 rows puts the switch at 120 inside a chunk.
-    row_bytes = len(algorithms) * trials * L * 8
-    monkeypatch.setattr(harness, "_HISTORY_BYTES", rows * row_bytes)
+    # A budget of 7 rows puts the switch at 120 inside a chunk.  A step of
+    # the single-filter loop takes a history row and two table rows.
+    per_step = 3 if algorithms == ("apsa",) else len(algorithms) * trials
+    monkeypatch.setattr(harness, "_HISTORY_BYTES", rows * per_step * L * 8)
     assert_matches_reference(make_config(algorithms=algorithms, trials=trials))
 
 
