@@ -261,9 +261,10 @@ def _write_tables(trace: MisalignmentTrace, targets) -> None:
     column to 6 decimals, LF line ends, to every (path, header lead,
     separator) of ``targets``, in one pass.
 
-    Each block of rows is formatted once, with commas; a target with
-    another separator gets them replaced, since the numbers and column
-    names hold none.  Empty or ragged columns raise ValueError before any
+    Each block of rows is formatted once, with commas, by one ``%`` of
+    the row format repeated over the block; a target with another
+    separator gets them replaced, since the numbers and column names hold
+    none.  Empty or ragged columns raise ValueError before any
     file is opened; a failed open, write or close raises OSError naming the
     path.
     """
@@ -285,10 +286,15 @@ def _write_tables(trace: MisalignmentTrace, targets) -> None:
                 fh = stack.enter_context(open(path, "w", encoding="ascii", newline=""))
                 fh.write(lead + header.replace(",", sep))
                 files.append((path, fh, sep))
+            width = len(columns) + 1
             for a in range(0, count, _WRITE_BLOCK):
                 b = min(a + _WRITE_BLOCK, count)
-                rows = zip(range(a, b), *(col[a:b].tolist() for col in columns))
-                text = "".join(map(row_format.__mod__, rows))
+                # Row by row: the index, then each column.
+                values = [None] * ((b - a) * width)
+                values[::width] = range(a, b)
+                for c, column in enumerate(columns, 1):
+                    values[c::width] = column[a:b].tolist()
+                text = (row_format * (b - a)) % tuple(values)
                 for path, fh, sep in files:
                     fh.write(text if sep == "," else text.replace(",", sep))
             for path, fh, _ in files:

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 # Bare names for the per-sample loop: it runs once per sample, and a module
 # attribute lookup per call is a measurable share of a small step.
-from numpy import add, dot, einsum, matmul, multiply, sign, subtract
+from numpy import add, dot, matmul, multiply, sign, subtract
 from numpy.lib.stride_tricks import sliding_window_view
 
 from apsabench.audio import load_wav
@@ -49,9 +49,9 @@ MISALIGNMENT_FLOOR_DB = -300.0
 # and trial sums at once.  The budget is about what 1024 iterations of
 # per-trial misalignment took at 30 filters, so that many filters do not
 # raise the peak memory; it sets the chunk of every shipped config and
-# workload, from 2 rows (colored_input_tracking) to 170 (single_wav, whose
-# single filter at projection order 2 shares it with two table rows per
-# step).
+# workload, from 2 rows (colored_input_tracking) to 102 (single_wav, whose
+# single filter at projection order 2 shares it with two table rows and
+# two regressor rows per step).
 _HISTORY_BYTES = 256 * 1024
 
 INPUT_KINDS = ("white", "ar1", "wav")
@@ -231,7 +231,12 @@ def _run_batch(
 
     All A x T filters advance together, one Python iteration per sample.
     Each filter follows its per-sample stepper in ``filters.STEPPERS``; only
-    the summation order of the dot products may differ.  Every step is
+    the summation order of the dot products may differ.  The error product,
+    whose order is free, reads each chunk's regressors from a contiguous
+    copy, which BLAS takes directly: the error reaches the update only
+    through the signs of the residuals, so its rounding can move a step
+    only where a residual lies within rounding of zero, and zero
+    regressors give exact zeros in any order.  Every step is
     w + ``filters._steps(d, mu, delta, d)``, the steppers' own rule, which
     works row by row.  The run's shape picks one of two loops.  One filter
     without a gain rule (APSA) over one trial at projection order M = 2
@@ -239,7 +244,8 @@ def _run_batch(
     arrays, with the weights read from row views of the history made once
     per run.  The error reaches the update only through its signs, so the
     direction is x0 + x1 or x0 - x1 times +-1, rows fixed by the input.
-    Per chunk the loop fills two tables with these rows (sharing the
+    Per chunk the loop copies each step's two regressors into one
+    contiguous buffer, fills two tables with these rows (both sharing the
     history's budget), lists the desired samples as Python floats, and
     turns every row r into its step s * r by one ``_steps`` call.  So a step
     whose two residual signs s0 and s1 are nonzero makes two numpy calls:
@@ -283,17 +289,23 @@ def _run_batch(
     # The history holds the weights entering each iteration of a chunk: the
     # step of row k writes row k + 1.  At most _HISTORY_BYTES, plus the row
     # that carries into the next chunk; the single filter shares the budget
-    # with two table rows per step.
-    chunk = max(1, _HISTORY_BYTES // ((3 if single else A * T) * L * 8))
+    # with two regressor rows and two table rows per step.  The batched
+    # loop's regressor copy, T rows per step, is left out of the budget:
+    # counting it would cut colored_input_tracking's chunk from 2 rows to
+    # 1, whose per-chunk work ran ~6% slower, to save the copy's ~0.1 MiB.
+    chunk = max(1, _HISTORY_BYTES // ((5 if single else A * T) * L * 8))
     rows = min(N, chunk)
     history = np.zeros((rows + 1, A, T, L))
     if single:
         windows, ys = windows[:, 0], ys[0]
         errors = np.empty(M)
         pairs = np.zeros((2, rows, L))
-        # The single filter reads its weights and table rows from views
-        # made once, not by indexing an array per step.
+        # Row k holds step k's regressors x0 and x1.
+        regressor_pairs = np.zeros((rows, 2, L))
+        # The single filter reads its weights, regressors and table rows
+        # from views made once, not by indexing an array per step.
         weight_rows = list(history.reshape(rows + 1, L))
+        regressor_rows = list(regressor_pairs)
         tables = (list(pairs[0]), list(pairs[1]))
     else:
         # Gain-weighted regressors, newest first like xs: iteration k of a
@@ -304,11 +316,18 @@ def _run_batch(
         gains = np.ones((A, T, L))
         # Each rule writes its algorithm's row of the slab.
         rules = [(a, partial(rule, out=gains[a])) for a, rule in enumerate(rules) if rule]
-        ys = ys.T[:, None, :]
-        errors = np.empty((M, A, T))
+        # A chunk's regressors in the order of windows: row j is
+        # windows[newest - K + 1 + j], so iteration k reads rows p to
+        # p + M - 1 like the memory.  The error product takes them, and the
+        # weights, as a stack of T matrix products, one per trial.
+        regs = np.empty((rows + M - 1, T, L))
+        regs_by_trial = regs.transpose(1, 2, 0)
+        weights_by_trial = history.transpose(0, 2, 1, 3)
+        ys = ys[:, None, :]
+        errors = np.empty((T, A, M))
         direction = np.empty((A, T, L))
         # Signs times memory rows as an (A, T) stack of matrix products.
-        signs_rows = errors.transpose(1, 2, 0)[..., None, :]
+        signs_rows = errors.transpose(1, 0, 2)[..., None, :]
         direction_row = direction[..., None, :]
 
     total = np.zeros((N, A))
@@ -327,25 +346,24 @@ def _run_batch(
                 newest = N - 1 - start
                 if single:
                     # With i = newest - k at step k: desired[k + 1 - j] is
-                    # ys[i + j] as a Python float, and the table rows of
-                    # step k are x0 + x1 and x0 - x1 with x0 = windows[i]
-                    # and x1 = windows[i + 1].
+                    # ys[i + j] as a Python float, the regressors of step k
+                    # are x0 = windows[i] and x1 = windows[i + 1], and its
+                    # table rows x0 + x1 and x0 - x1.
                     lo = newest - K + 1
                     desired = ys[lo : newest + 2][::-1].tolist()
-                    x0 = windows[lo : newest + 1][::-1]
-                    x1 = windows[lo + 1 : newest + 2][::-1]
+                    x0, x1 = regressor_pairs[:K, 0], regressor_pairs[:K, 1]
+                    x0[...] = windows[lo : newest + 1][::-1]
+                    x1[...] = windows[lo + 1 : newest + 2][::-1]
                     table = pairs[:, :K]
                     add(x0, x1, table[0]), subtract(x0, x1, table[1])
                     # Each row becomes the step it makes.
                     _steps(table, mu, delta, table)
                     for k in range(K):
-                        i = newest - k
                         weights = weight_rows[k]
-                        regressors = windows[i : i + 2]
-                        matmul(regressors, weights, errors)
+                        regressors = regressor_rows[k]
                         # Residuals in Python floats: the same IEEE
                         # results as np.subtract.
-                        e0, e1 = errors.tolist()
+                        e0, e1 = dot(regressors, weights, errors).tolist()
                         r0, r1 = desired[k + 1] - e0, desired[k] - e1
                         s0, s1 = (r0 > 0.0) - (r0 < 0.0), (r1 > 0.0) - (r1 < 0.0)
                         if s0 and s1:
@@ -353,23 +371,24 @@ def _run_batch(
                             step = add if s0 == 1 else subtract
                             step(weights, tables[s0 != s1][k], weight_rows[k + 1])
                             continue
+                        i = newest - k
                         subtract(ys[i : i + 2], errors, errors)
                         sign(errors, errors)
                         direction = dot(errors, regressors)
                         add(weights, _steps(direction, mu, delta, direction), weight_rows[k + 1])
                 else:
                     memory[..., K : K + M - 1, :] = memory[..., : M - 1, :]
+                    regs[: K + M - 1] = windows[newest - K + 1 : newest + M]
                     for k in range(K):
                         i = newest - k
+                        p = K - 1 - k
                         weights = history[k]
-                        regressors = windows[i : i + M]
-                        einsum("mtl,atl->mat", regressors, weights, out=errors)
-                        subtract(ys[i : i + M], errors, errors)
+                        matmul(weights_by_trial[k], regs_by_trial[..., p : p + M], errors)
+                        subtract(ys[..., i : i + M], errors, errors)
                         sign(errors, errors)
                         for a, rule in rules:
                             rule(weights[a])
-                        p = K - 1 - k
-                        multiply(gains, regressors[0], memory[..., p, :])
+                        multiply(gains, regs[p], memory[..., p, :])
                         matmul(signs_rows, memory[..., p : p + M, :], direction_row)
                         add(weights, _steps(direction, mu, delta, direction), history[k + 1])
                 diffs = history[:K]

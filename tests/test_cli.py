@@ -379,18 +379,46 @@ def row_by_row(trace, sep, header_lead):
 
 EDGE_VALUES = [0.0, -0.0, -300.0, 1e6, -4e-7, -5e-7, -1e-300, 5e-7, np.nan, np.inf, -np.inf]
 
+# Values whose 6-decimal text a block formatter could get wrong: a negative
+# zero, a value that prints as -0.000000, huge magnitudes, the floor, and
+# decimal ties at the 7th decimal with their binary neighbours.
+TIES = [1.2345675, -2.5000005, 5e-7]
+BLOCK_VALUES = [-0.0, -4e-7, 1e300, -1e300, -300.0] + [
+    np.nextafter(tie, toward) for tie in TIES for toward in (-np.inf, tie, np.inf)
+]
+
+
+def block_columns(width, count):
+    """``width`` columns of ``count`` rows that cycle through BLOCK_VALUES,
+    each from another start."""
+    return {
+        name: np.resize(np.roll(BLOCK_VALUES, c), count)
+        for c, name in enumerate(("apsa", "mip-apsa", "bs-mip-apsa")[:width])
+    }
+
 
 @pytest.mark.parametrize(
     "columns",
     [
-        {"apsa": np.array([-0.0])},
-        {
-            name: np.random.default_rng(k).standard_normal(10_001) * 10.0 ** (3 - 3 * k)
-            for k, name in enumerate(("apsa", "mip-apsa", "bs-mip-apsa"))
-        },
-        {"apsa": np.array(EDGE_VALUES), "mip-apsa": -np.array(EDGE_VALUES)},
+        pytest.param({"apsa": np.array([-0.0])}, id="one-row"),
+        pytest.param(
+            {
+                name: np.random.default_rng(k).standard_normal(10_001) * 10.0 ** (3 - 3 * k)
+                for k, name in enumerate(("apsa", "mip-apsa", "bs-mip-apsa"))
+            },
+            id="crosses-write-blocks",
+        ),
+        pytest.param(
+            {"apsa": np.array(EDGE_VALUES), "mip-apsa": -np.array(EDGE_VALUES)}, id="edge-values"
+        ),
+        # Counts of one row, one whole write block, one row more, and a
+        # partial last block.
+        *(
+            pytest.param(block_columns(width, count), id=f"{width}-columns-{count}-rows")
+            for width in (1, 3)
+            for count in (1, 1024, 1025, 2500)
+        ),
     ],
-    ids=["one-row", "crosses-write-blocks", "edge-values"],
 )
 def test_emitters_match_the_row_by_row_oracle(tmp_path, columns):
     trace = MisalignmentTrace(traces=columns, trials=1)

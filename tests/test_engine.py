@@ -363,9 +363,9 @@ def test_single_filter_loop_is_bitwise_the_numpy_statements(
     # give zero rows under nonzero signs.  Scaled to 1e-162, a table row's
     # energy is 0, and scaled to 1e160 it is inf: _steps rescales a row
     # whose delta + e is below tiny or inf, as it does the stepper's
-    # direction.  A budget of 192 history rows (64 per chunk at M = 2,
-    # which keeps two table rows per step) makes 997 iterations end
-    # mid-chunk and the switch at 500 fall mid-chunk.
+    # direction.  A budget of 192 history rows (38 per chunk at M = 2,
+    # which keeps two regressor rows and two table rows per step) makes 997
+    # iterations end mid-chunk and the switch at 500 fall mid-chunk.
     bursts = [speech_like(80, SeededStream(seed)) for seed in range(12)]
     wav = tmp_path / "silences.wav"
     save_wav(np.concatenate([np.concatenate([np.zeros(L + 9), b]) for b in bursts]), wav)
@@ -395,10 +395,26 @@ def test_single_filter_loop_is_bitwise_the_numpy_statements(
 @pytest.mark.parametrize("algorithms, trials", [(ALL, 3), (("apsa",), 1)])
 def test_engine_with_a_small_weight_history(monkeypatch, rows, algorithms, trials):
     # A budget of 7 rows puts the switch at 120 inside a chunk.  A step of
-    # the single-filter loop takes a history row and two table rows.
-    per_step = 3 if algorithms == ("apsa",) else len(algorithms) * trials
+    # the single-filter loop takes a history row, two regressor rows and
+    # two table rows; one of the batched loop a history row per filter.
+    per_step = 5 if algorithms == ("apsa",) else len(algorithms) * trials
     monkeypatch.setattr(harness, "_HISTORY_BYTES", rows * per_step * L * 8)
-    assert_matches_reference(make_config(algorithms=algorithms, trials=trials))
+    chunks = []
+
+    def add_db_spy(squared_errors, den, total):
+        chunks.append(len(total))
+        _add_db(squared_errors, den, total)
+
+    monkeypatch.setattr(harness, "_add_db", add_db_spy)
+    config = make_config(algorithms=algorithms, trials=trials)
+    _run_batch(config, range(trials))
+    switch, end = config.schedule.switch_iteration, config.iterations
+    assert chunks == [
+        min(rows, stop - start)
+        for first, stop in ((0, switch), (switch, end))
+        for start in range(first, stop, rows)
+    ]
+    assert_matches_reference(config)
 
 
 def test_wav_file_is_read_once_per_run(monkeypatch, tmp_path):
