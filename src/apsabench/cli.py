@@ -264,9 +264,8 @@ def _write_tables(trace: MisalignmentTrace, targets) -> None:
     Each block of rows is formatted once, with commas, by one ``%`` of
     the row format repeated over the block; a target with another
     separator gets them replaced, since the numbers and column names hold
-    none.  Empty or ragged columns raise ValueError before any
-    file is opened; a failed open, write or close raises OSError naming the
-    path.
+    none.  Empty or ragged columns raise ValueError before any file is
+    opened; a failed open, write or close raises OSError naming the path.
     """
     columns = list(trace.traces.values())
     lengths = {len(column) for column in columns}
