@@ -49,9 +49,9 @@ MISALIGNMENT_FLOOR_DB = -300.0
 # and trial sums at once.  The budget is about what 1024 iterations of
 # per-trial misalignment took at 30 filters, so that many filters do not
 # raise the peak memory; it sets the chunk of every shipped config and
-# workload, from 2 rows (colored_input_tracking) to 102 (single_wav, whose
-# single filter at projection order 2 shares it with two table rows and
-# two regressor rows per step).
+# workload, from 2 rows (colored_input_tracking) to 170 (single_wav, whose
+# single filter at projection order 2 shares it with two table rows per
+# step).  Both loops leave their per-chunk regressor copy out of it.
 _HISTORY_BYTES = 256 * 1024
 
 INPUT_KINDS = ("white", "ar1", "wav")
@@ -231,39 +231,38 @@ def _run_batch(
 
     All A x T filters advance together, one Python iteration per sample.
     Each filter follows its per-sample stepper in ``filters.STEPPERS``; only
-    the summation order of the dot products may differ.  The error product,
-    whose order is free, reads each chunk's regressors from a contiguous
-    copy, which BLAS takes directly: the error reaches the update only
-    through the signs of the residuals, so its rounding can move a step
-    only where a residual lies within rounding of zero, and zero
-    regressors give exact zeros in any order.  Every step is
+    the summation order of the dot products may differ.  Both loops copy
+    each chunk's regressors, time-major, into one contiguous buffer, from
+    which BLAS takes the error product directly.  Its order is free: the
+    error reaches the update only through the signs of the residuals, so its
+    rounding can move a step only where a residual lies within rounding of
+    zero, and zero regressors give exact zeros in any order.  Every step is
     w + ``filters._steps(d, mu, delta, d)``, the steppers' own rule, which
     works row by row.  The run's shape picks one of two loops.  One filter
-    without a gain rule (APSA) over one trial at projection order M = 2
-    runs without batch axes and without gains or memory, on 1-D and 2-D
-    arrays, with the weights read from row views of the history made once
-    per run.  The error reaches the update only through its signs, so the
-    direction is x0 + x1 or x0 - x1 times +-1, rows fixed by the input.
-    Per chunk the loop copies each step's two regressors into one
-    contiguous buffer, fills two tables with these rows (both sharing the
-    history's budget), lists the desired samples as Python floats, and
-    turns every row r into its step s * r by one ``_steps`` call.  So a step
-    whose two residual signs s0 and s1 are nonzero makes two numpy calls:
-    the error product, then w + v (s0 = 1) or w - v (s0 = -1), v its row of
-    the x0 + x1 table if s0 = s1 and of the x0 - x1 table if not.  A step
-    with a residual sign 0 (a zero residual, or a NaN one, which reads as
-    neither sign) takes its step from ``_steps`` on the numpy direction.
-    These are the stepper's bits: with signs in {-1, 0, 1} the direction is
-    one rounded sum of exact products, the same double as x0 +- x1 but for
-    the sign of a zero; a rescaled row is r / m, m its largest magnitude or
-    sqrt(delta) if larger, and (-r) / m is -(r / m); w + (-v) is w - v;
-    and the weights are never -0.0, so w + 0.0 is w.  Every other run takes
-    the batched loop, where the algorithms differ only in their gains: one
-    (A, T, L) slab holds them, all ones for APSA, and the newest row of the
-    memory of gain-weighted regressors is that slab times the newest
-    regressors.  The A x T directions of a step become their steps in one
-    ``_steps`` call; a zero direction, as in digital silence, is a zero
-    step, and w + 0 is w.
+    without a gain rule (APSA) over one trial at projection order M = 2 runs
+    without batch axes and without gains or memory, on 1-D and 2-D arrays,
+    with the weights read from row views of the history made once per run.
+    The error reaches the update only through its signs, so the direction is
+    x0 + x1 or x0 - x1 times +-1, rows fixed by the input.  Per chunk the
+    loop fills two tables with these rows from the regressor copy (both
+    sharing the history's budget), lists the desired samples as Python
+    floats, and turns every row r into its step s * r by one ``_steps``
+    call.  So a step whose two residual signs s0 and s1 are nonzero makes
+    two numpy calls: the error product, then w + v (s0 = 1) or w - v
+    (s0 = -1), v its row of the x0 + x1 table if s0 = s1 and of the x0 - x1
+    table if not.  A step with a residual sign 0 (a zero residual, or a NaN
+    one, which reads as neither sign) takes its step from ``_steps`` on the
+    numpy direction.  These are the stepper's bits: with signs in
+    {-1, 0, 1} the direction is one rounded sum of exact products, the same
+    double as x0 +- x1 but for the sign of a zero; a rescaled row is r / m,
+    m its largest magnitude or sqrt(delta) if larger, and (-r) / m is
+    -(r / m); w + (-v) is w - v; and the weights are never -0.0, so w + 0.0
+    is w.  Every other run takes the batched loop, where the algorithms
+    differ only in their gains: one (A, T, L) slab holds them, all ones for
+    APSA, and the newest row of the time-major memory of gain-weighted
+    regressors is that slab times the newest regressors.  The A x T
+    directions of a step become their steps in one ``_steps`` call; a zero
+    direction, as in digital silence, is a zero step, and w + 0 is w.
     """
     params = config.params
     L, M, N = params.filter_length, params.projection_order, config.iterations
@@ -289,44 +288,46 @@ def _run_batch(
     # The history holds the weights entering each iteration of a chunk: the
     # step of row k writes row k + 1.  At most _HISTORY_BYTES, plus the row
     # that carries into the next chunk; the single filter shares the budget
-    # with two regressor rows and two table rows per step.  The batched
-    # loop's regressor copy, T rows per step, is left out of the budget:
-    # counting it would cut colored_input_tracking's chunk from 2 rows to
-    # 1, whose per-chunk work ran ~6% slower, to save the copy's ~0.1 MiB.
-    chunk = max(1, _HISTORY_BYTES // ((5 if single else A * T) * L * 8))
+    # with its two table rows per step.  The regressor copy, T rows per
+    # step, is left out of the budget in both loops: counting it would cut
+    # colored_input_tracking's chunk from 2 rows to 1, whose per-chunk work
+    # ran ~6% slower, to save the copy's ~0.1 MiB.
+    chunk = max(1, _HISTORY_BYTES // ((A * T + 2 * single) * L * 8))
     rows = min(N, chunk)
     history = np.zeros((rows + 1, A, T, L))
+    # A chunk's regressors in the order of windows: row j is
+    # windows[newest - K + 1 + j], so iteration k of a chunk of K reads rows
+    # p to p + M - 1, p = K - 1 - k.  The error product takes them from
+    # this contiguous copy, which BLAS takes directly.
+    regs = np.empty((rows + M - 1, T, L))
     if single:
-        windows, ys = windows[:, 0], ys[0]
+        ys = ys[0]
         errors = np.empty(M)
+        # Row p of the tables holds x0 + x1 and x0 - x1 of the step that
+        # reads regs[p : p + 2].
         pairs = np.zeros((2, rows, L))
-        # Row k holds step k's regressors x0 and x1.
-        regressor_pairs = np.zeros((rows, 2, L))
         # The single filter reads its weights, regressors and table rows
         # from views made once, not by indexing an array per step.
         weight_rows = list(history.reshape(rows + 1, L))
-        regressor_rows = list(regressor_pairs)
+        regressor_rows = [regs[p : p + 2, 0] for p in range(rows)]
         tables = (list(pairs[0]), list(pairs[1]))
     else:
-        # Gain-weighted regressors, newest first like xs: iteration k of a
-        # chunk of K writes row p = K - 1 - k and reads rows p to p + M - 1,
-        # and each chunk starts by carrying the newest M - 1 rows behind its
-        # own.  The gain slab's APSA rows stay 1.0, and 1.0 * x is x.
-        memory = np.zeros((A, T, rows + M - 1, L))
+        # Gain-weighted regressors, time-major and in the order of regs:
+        # iteration k writes row p and reads rows p to p + M - 1, and each
+        # chunk starts by carrying the newest M - 1 rows behind its own.
+        # The gain slab's APSA rows stay 1.0, and 1.0 * x is x.
+        memory = np.zeros((rows + M - 1, A, T, L))
         gains = np.ones((A, T, L))
         # Each rule writes its algorithm's row of the slab.
         rules = [(a, partial(rule, out=gains[a])) for a, rule in enumerate(rules) if rule]
-        # A chunk's regressors in the order of windows: row j is
-        # windows[newest - K + 1 + j], so iteration k reads rows p to
-        # p + M - 1 like the memory.  The error product takes them, and the
-        # weights, as a stack of T matrix products, one per trial.
-        regs = np.empty((rows + M - 1, T, L))
+        # The error product, and the direction from the signs and the
+        # memory, as stacks of matrix products: one per trial, one per filter.
         regs_by_trial = regs.transpose(1, 2, 0)
         weights_by_trial = history.transpose(0, 2, 1, 3)
+        memory_by_filter = memory.transpose(1, 2, 0, 3)
         ys = ys[:, None, :]
         errors = np.empty((T, A, M))
         direction = np.empty((A, T, L))
-        # Signs times memory rows as an (A, T) stack of matrix products.
         signs_rows = errors.transpose(1, 0, 2)[..., None, :]
         direction_row = direction[..., None, :]
 
@@ -344,32 +345,30 @@ def _run_batch(
             for start in range(first, end, chunk):
                 K = min(start + chunk, end) - start
                 newest = N - 1 - start
+                regs[: K + M - 1] = windows[newest - K + 1 : newest + M]
                 if single:
-                    # With i = newest - k at step k: desired[k + 1 - j] is
-                    # ys[i + j] as a Python float, the regressors of step k
-                    # are x0 = windows[i] and x1 = windows[i + 1], and its
-                    # table rows x0 + x1 and x0 - x1.
-                    lo = newest - K + 1
-                    desired = ys[lo : newest + 2][::-1].tolist()
-                    x0, x1 = regressor_pairs[:K, 0], regressor_pairs[:K, 1]
-                    x0[...] = windows[lo : newest + 1][::-1]
-                    x1[...] = windows[lo + 1 : newest + 2][::-1]
-                    table = pairs[:, :K]
+                    # Step k, with p = K - 1 - k and i = newest - k, reads
+                    # x0 = regs[p] and x1 = regs[p + 1] (windows[i] and
+                    # windows[i + 1]) and their desired samples ys[i] and
+                    # ys[i + 1] as desired[p] and desired[p + 1].
+                    desired = ys[newest - K + 1 : newest + 2].tolist()
+                    x0, x1, table = regs[:K, 0], regs[1 : K + 1, 0], pairs[:, :K]
                     add(x0, x1, table[0]), subtract(x0, x1, table[1])
                     # Each row becomes the step it makes.
                     _steps(table, mu, delta, table)
                     for k in range(K):
+                        p = K - 1 - k
                         weights = weight_rows[k]
-                        regressors = regressor_rows[k]
+                        regressors = regressor_rows[p]
                         # Residuals in Python floats: the same IEEE
                         # results as np.subtract.
                         e0, e1 = dot(regressors, weights, errors).tolist()
-                        r0, r1 = desired[k + 1] - e0, desired[k] - e1
+                        r0, r1 = desired[p] - e0, desired[p + 1] - e1
                         s0, s1 = (r0 > 0.0) - (r0 < 0.0), (r1 > 0.0) - (r1 < 0.0)
                         if s0 and s1:
                             # s0 (x0 + x1) when the signs agree, else s0 (x0 - x1).
                             step = add if s0 == 1 else subtract
-                            step(weights, tables[s0 != s1][k], weight_rows[k + 1])
+                            step(weights, tables[s0 != s1][p], weight_rows[k + 1])
                             continue
                         i = newest - k
                         subtract(ys[i : i + 2], errors, errors)
@@ -377,8 +376,7 @@ def _run_batch(
                         direction = dot(errors, regressors)
                         add(weights, _steps(direction, mu, delta, direction), weight_rows[k + 1])
                 else:
-                    memory[..., K : K + M - 1, :] = memory[..., : M - 1, :]
-                    regs[: K + M - 1] = windows[newest - K + 1 : newest + M]
+                    memory[K : K + M - 1] = memory[: M - 1]
                     for k in range(K):
                         i = newest - k
                         p = K - 1 - k
@@ -388,8 +386,8 @@ def _run_batch(
                         sign(errors, errors)
                         for a, rule in rules:
                             rule(weights[a])
-                        multiply(gains, regs[p], memory[..., p, :])
-                        matmul(signs_rows, memory[..., p : p + M, :], direction_row)
+                        multiply(gains, regs[p], memory[p])
+                        matmul(signs_rows, memory_by_filter[..., p : p + M, :], direction_row)
                         add(weights, _steps(direction, mu, delta, direction), history[k + 1])
                 diffs = history[:K]
                 np.subtract(taps, diffs, diffs)

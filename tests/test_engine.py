@@ -363,9 +363,9 @@ def test_single_filter_loop_is_bitwise_the_numpy_statements(
     # give zero rows under nonzero signs.  Scaled to 1e-162, a table row's
     # energy is 0, and scaled to 1e160 it is inf: _steps rescales a row
     # whose delta + e is below tiny or inf, as it does the stepper's
-    # direction.  A budget of 192 history rows (38 per chunk at M = 2,
-    # which keeps two regressor rows and two table rows per step) makes 997
-    # iterations end mid-chunk and the switch at 500 fall mid-chunk.
+    # direction.  A budget of 192 history rows (64 per chunk at M = 2,
+    # which keeps two table rows per step) makes 997 iterations end
+    # mid-chunk and the switch at 500 fall mid-chunk.
     bursts = [speech_like(80, SeededStream(seed)) for seed in range(12)]
     wav = tmp_path / "silences.wav"
     save_wav(np.concatenate([np.concatenate([np.zeros(L + 9), b]) for b in bursts]), wav)
@@ -395,9 +395,9 @@ def test_single_filter_loop_is_bitwise_the_numpy_statements(
 @pytest.mark.parametrize("algorithms, trials", [(ALL, 3), (("apsa",), 1)])
 def test_engine_with_a_small_weight_history(monkeypatch, rows, algorithms, trials):
     # A budget of 7 rows puts the switch at 120 inside a chunk.  A step of
-    # the single-filter loop takes a history row, two regressor rows and
-    # two table rows; one of the batched loop a history row per filter.
-    per_step = 5 if algorithms == ("apsa",) else len(algorithms) * trials
+    # the single-filter loop takes a history row and two table rows; one
+    # of the batched loop a history row per filter.
+    per_step = 3 if algorithms == ("apsa",) else len(algorithms) * trials
     monkeypatch.setattr(harness, "_HISTORY_BYTES", rows * per_step * L * 8)
     chunks = []
 
@@ -415,6 +415,32 @@ def test_engine_with_a_small_weight_history(monkeypatch, rows, algorithms, trial
         for start in range(first, stop, rows)
     ]
     assert_matches_reference(config)
+
+
+@pytest.mark.parametrize(
+    "algorithms, trials, projection_order",
+    [(("apsa",), 1, 2)] + [(ALL, t, m) for t in (1, 3) for m in (1, 2, 3)],
+)
+def test_totals_and_weights_do_not_depend_on_the_history_budget(
+    monkeypatch, algorithms, trials, projection_order
+):
+    # The single-filter loop (first case) and the batched loop do all their
+    # per-chunk work row by row, so where a chunk ends moves no bit.  The
+    # budgets hold 1 row, 7 rows, the default (682 rows at one filter and
+    # 227 at nine, so 800-iteration phases end mid-chunk) and the whole run.
+    config = make_config(
+        algorithms=algorithms, trials=trials, iterations=1600, switch=800,
+        projection_order=projection_order,
+    )
+    per_step = 3 if algorithms == ("apsa",) else len(algorithms) * trials
+    runs = []
+    for rows in (1, 7, None, config.iterations + 1):
+        with monkeypatch.context() as mp:
+            if rows is not None:
+                mp.setattr(harness, "_HISTORY_BYTES", rows * per_step * L * 8)
+            total, weights = _run_batch(config, range(trials))
+        runs.append((total.tobytes(), weights.tobytes()))
+    assert runs[1:] == runs[:1] * 3
 
 
 def test_wav_file_is_read_once_per_run(monkeypatch, tmp_path):
