@@ -7,7 +7,9 @@ REV is checked out into a git worktree under ``.bench_work/`` (local git
 only) and removed afterwards.  Every scenario of ``SCENARIOS`` then runs
 through ``apsabench.cli.main`` in a fresh interpreter for each tree, under
 each OpenBLAS kernel given (``default`` leaves ``OPENBLAS_CORETYPE`` unset,
-any other name sets it), with BLAS on one thread.  Both trees read the
+any other name sets it), with BLAS on one thread.  Each interpreter runs
+with ``-W error::RuntimeWarning -W error::DeprecationWarning``, the filters
+of CI's smoke runs, so a scenario that warns fails.  Both trees read the
 same config and WAV files.  A scenario is the same when the sha256 of the
 totals and of the final weights that ``harness._run_batch`` returned are
 equal, and so are the three files the CLI wrote; in the manifest, the
@@ -40,6 +42,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS, write_wav  # noqa: E402
 
 CLI_FILES = ("trace.csv", "trace.dat", "manifest.txt")
+WARNINGS_AS_ERRORS = ("-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning")
 BLAS_THREADS = {
     name: "1"
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -181,7 +184,8 @@ def run_side(tree: Path, config: Path, scenario: Scenario, kernel: str, out: Pat
     code = "import sys, same_bits; same_bits.worker(*sys.argv[1:])"
     args = [str(tree / "src"), str(config), repr(scenario.scale), str(out)]
     done = subprocess.run(
-        [sys.executable, "-c", code, *args], cwd=out, env=env, capture_output=True, text=True
+        [sys.executable, *WARNINGS_AS_ERRORS, "-c", code, *args],
+        cwd=out, env=env, capture_output=True, text=True,
     )
     if done.returncode != 0:
         last = (done.stderr.strip().splitlines() or ["no output"])[-1]

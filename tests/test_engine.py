@@ -216,19 +216,23 @@ def test_engine_matches_steppers_without_regularizers(trials):
 def test_add_db_adds_trials_one_after_another(trials):
     # The loop below is the reference: one trial at a time, in order.  From
     # 8 trials on, a reduction over the trial axis of a (K, A, T) array
-    # would sum pairwise and change the bits.
+    # would sum pairwise and change the bits.  The engine passes its totals
+    # as a reversed view, newest iteration first like its history.
     rng = np.random.default_rng(trials)
     squared = rng.uniform(1e-9, 10.0, (8, 3, trials))
     squared[2, 1, 0] = 0.0  # reads the floor
     den = np.array([2.5])
-    total = rng.uniform(-500.0, 0.0, (8, 3))
-    expected = total.copy()
+    start = rng.uniform(-500.0, 0.0, (8, 3))
+    expected = start.copy()
     with np.errstate(divide="ignore"):
         db = np.maximum(10.0 * np.log10(squared / den), MISALIGNMENT_FLOOR_DB)
     for t in range(trials):
         expected += db[..., t]
-    _add_db(squared, den, total)
+    total, reversed_total = start.copy(), start[::-1].copy()
+    _add_db(squared.copy(), den, total)
+    _add_db(squared, den, reversed_total[::-1])
     assert np.array_equal(total, expected)
+    assert np.array_equal(reversed_total[::-1], expected)
 
 
 @pytest.mark.parametrize("projection_order", [1, 2, 3])
