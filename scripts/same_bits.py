@@ -9,11 +9,12 @@ through ``apsabench.cli.main`` in a fresh interpreter for each tree, under
 each OpenBLAS kernel given (``default`` leaves ``OPENBLAS_CORETYPE`` unset,
 any other name sets it), with BLAS on one thread.  Each interpreter runs
 with ``-W error::RuntimeWarning -W error::DeprecationWarning``, the filters
-of CI's smoke runs, so a scenario that warns fails.  Both trees read the
-same config and WAV files.  A scenario is the same when the sha256 of the
-totals and of the final weights that ``harness._run_batch`` returned are
-equal, and so are the three files the CLI wrote; in the manifest, the
-run's output directory is read as one placeholder.
+of CI's smoke runs, so a scenario that warns fails, and CI's run of this
+script checks every scenario under both kernels for warnings.  Both trees
+read the same config and WAV files.  A scenario is the same when the
+sha256 of the totals and of the final weights that ``harness._run_batch``
+returned are equal, and so are the three files the CLI wrote; in the
+manifest, the run's output directory is read as one placeholder.
 
 One line per scenario says "same", or "differs" with the largest absolute
 and relative difference of the totals and weights and the CLI files that
